@@ -1,6 +1,7 @@
 #include "broadcast/sba.h"
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 namespace nampc {
@@ -9,6 +10,68 @@ bool sba_value_less(const SbaValue& a, const SbaValue& b) {
   if (a.has_value() != b.has_value()) return !a.has_value();
   if (!a.has_value()) return false;
   return *a < *b;
+}
+
+bool SbaWireMsg::equals(const SbaValue& v) const {
+  if (present != v.has_value()) return false;
+  return !present || std::equal(data, data + size, v->begin(), v->end());
+}
+
+SbaValue SbaWireMsg::value() const {
+  if (!present) return std::nullopt;
+  return Words(data, data + size);
+}
+
+std::optional<SbaWireMsg> decode_sba_message(const Words& payload, int ts) {
+  // Layout: [phase, len, present, inner_len, inner...]; every length is
+  // checked against what remains, as Reader::u64 / Reader::vec do.
+  const std::size_t total = payload.size();
+  if (total < 1) throw DecodeError("payload truncated");
+  SbaWireMsg msg;
+  msg.phase = static_cast<int>(payload[0]);
+  // LINT:threshold(sba.phase_count)
+  if (msg.phase < 0 || msg.phase > ts) return std::nullopt;
+  if (total < 2) throw DecodeError("payload truncated");
+  const std::uint64_t len = payload[1];
+  if (len > total - 2) throw DecodeError("bad vector length");
+  if (len < 1) throw DecodeError("payload truncated");
+  msg.present = payload[2] != 0;
+  if (len < 2) throw DecodeError("payload truncated");
+  const std::uint64_t inner_len = payload[3];
+  if (inner_len > len - 2) throw DecodeError("bad vector length");
+  msg.data = payload.data() + 4;
+  msg.size = static_cast<std::size_t>(inner_len);
+  return msg;
+}
+
+void SbaPhaseTally::add(PartyId from, const SbaWireMsg& msg) {
+  if (seen_.contains(from)) return;
+  seen_.insert(from);
+  for (auto& [value, count] : counts_) {
+    if (msg.equals(value)) {
+      ++count;
+      return;
+    }
+  }
+  counts_.emplace_back(msg.value(), 1);
+}
+
+std::pair<SbaValue, int> SbaPhaseTally::majority() const {
+  SbaValue best;
+  int best_count = 0;
+  for (const auto& [value, count] : counts_) {
+    if (count > best_count ||
+        (count == best_count && sba_value_less(value, best))) {
+      best = value;
+      best_count = count;
+    }
+  }
+  return {best, best_count};
+}
+
+void SbaPhaseTally::close() {
+  seen_ = PartySet::full(PartySet::kMaxParties);
+  counts_ = {};
 }
 
 namespace {
@@ -61,12 +124,10 @@ Words Sba::encode_value(const SbaValue& v) {
   return std::move(w).take();
 }
 
-SbaValue Sba::decode_value(const Words& payload) {
-  Reader r(payload);
-  const bool present = r.boolean();
-  Words body = r.vec();
-  if (!present) return std::nullopt;
-  return body;
+SbaPhaseTally& Sba::exchange_tally(int phase) {
+  const auto index = static_cast<std::size_t>(phase);
+  if (index >= exchange_.size()) exchange_.resize(index + 1);
+  return exchange_[index];
 }
 
 void Sba::start(SbaValue input) {
@@ -125,43 +186,24 @@ void Sba::run_exchange(int phase) {
 }
 
 void Sba::on_message(const Message& msg) {
-  Reader r(msg.payload);
-  const int phase = static_cast<int>(r.u64());
-  // LINT:threshold(sba.phase_count)
-  if (phase < 0 || phase > params().ts) return;
-  const SbaValue v = decode_value(r.vec());
+  const std::optional<SbaWireMsg> wire =
+      decode_sba_message(msg.payload, params().ts);
+  if (!wire.has_value()) return;
+  const int phase = wire->phase;
   if (msg.type == kExchange) {
-    exchange_msgs_.emplace(std::make_pair(phase, msg.from), v);
+    exchange_tally(phase).add(msg.from, *wire);
   } else if (msg.type == kKing) {
     if (msg.from != phase % n()) return;  // only the phase king may speak
-    king_msgs_.emplace(phase, v);
+    if (!king_msgs_.contains(phase)) king_msgs_.emplace(phase, wire->value());
   }
 }
 
 void Sba::tally_exchange(int phase) {
-  // Most frequent value among this phase's exchange messages.
-  std::vector<std::pair<SbaValue, int>> tally;
-  for (const auto& [key_pair, v] : exchange_msgs_) {
-    if (key_pair.first != phase) continue;
-    bool found = false;
-    for (auto& [tv, count] : tally) {
-      if (tv == v) {
-        ++count;
-        found = true;
-        break;
-      }
-    }
-    if (!found) tally.emplace_back(v, 1);
-  }
-  phase_majority_ = std::nullopt;
-  phase_majority_count_ = 0;
-  for (const auto& [tv, count] : tally) {
-    if (count > phase_majority_count_ ||
-        (count == phase_majority_count_ && sba_value_less(tv, phase_majority_))) {
-      phase_majority_ = tv;
-      phase_majority_count_ = count;
-    }
-  }
+  // Most frequent value among this phase's exchange messages. Nothing
+  // reads the phase's exchange messages after this, so its tally closes.
+  SbaPhaseTally& tally = exchange_tally(phase);
+  std::tie(phase_majority_, phase_majority_count_) = tally.majority();
+  tally.close();
   // King round: the phase king announces its majority.
   if (my_id() == phase % n()) {
     Writer w;

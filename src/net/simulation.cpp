@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "net/transport.h"
@@ -18,14 +19,6 @@ namespace {
 /// small in steady state; the cap only bounds pathological drain phases.
 constexpr std::size_t kPayloadPoolCap = 1u << 16;
 }  // namespace
-
-bool scaling_baseline() {
-  static const bool on = [] {
-    const char* v = std::getenv("NAMPC_SCALING_BASELINE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return on;
-}
 
 Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
     : config_(config),
@@ -55,7 +48,7 @@ Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
 Simulation::~Simulation() {
   // Drop pending events (which may capture instance pointers) before the
   // parties that own those instances.
-  while (!queue_.empty()) queue_.pop();
+  queue_.clear();
 }
 
 void Simulation::set_monitors(obs::MonitorEngine* monitors) {
@@ -83,24 +76,26 @@ Party& Simulation::party(PartyId id) {
   return *parties_[static_cast<std::size_t>(id)];
 }
 
-void Simulation::push_event(Event ev) {
-  queue_.push(std::move(ev));
-  registry_->on_queue_depth(queue_.size());
+void Simulation::push_event(Time t, int klass, Event ev) {
+  NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
+  NAMPC_REQUIRE(klass >= 0 && klass <= kMaxKlass, "event klass out of range");
+  NAMPC_REQUIRE(t <= (std::numeric_limits<Time>::max() >> kKlassBits),
+                "event time beyond the queue's key range");
+  if (tracer_) tracer_->on_schedule(t, klass);
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(t) << kKlassBits) |
+      static_cast<std::uint64_t>(klass);
+  queue_[key].events.push_back(std::move(ev));
+  registry_->on_queue_depth(++queue_size_);
 }
 
 void Simulation::schedule(Time t, std::function<void()> fn, int klass,
                           std::uint32_t owner, PartyId owner_party) {
-  NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  if (tracer_) tracer_->on_schedule(t, klass);
-  push_event(Event{t, klass, seq_++, /*is_delivery=*/false, std::move(fn), {},
-                   owner, owner_party});
+  push_event(t, klass, Timer{std::move(fn), owner, owner_party});
 }
 
 void Simulation::schedule_delivery(Time t, Message msg) {
-  NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  if (tracer_) tracer_->on_schedule(t, /*klass=*/0);
-  push_event(
-      Event{t, /*klass=*/0, seq_++, /*is_delivery=*/true, {}, std::move(msg)});
+  push_event(t, /*klass=*/0, std::move(msg));
 }
 
 std::uint32_t Simulation::intern_instance(const std::string& key) {
@@ -113,7 +108,7 @@ std::uint32_t Simulation::intern_instance(const std::string& key) {
 }
 
 Words Simulation::pooled_copy(const Words& src, std::uint32_t owner) {
-  if (scaling_baseline() || payload_pool_.empty()) {
+  if (payload_pool_.empty()) {
     registry_->on_pool(owner, /*hit=*/false);
     return src;
   }
@@ -125,8 +120,7 @@ Words Simulation::pooled_copy(const Words& src, std::uint32_t owner) {
 }
 
 void Simulation::recycle_payload(Words&& payload) {
-  if (scaling_baseline() || payload.capacity() == 0 ||
-      payload_pool_.size() >= kPayloadPoolCap) {
+  if (payload.capacity() == 0 || payload_pool_.size() >= kPayloadPoolCap) {
     return;
   }
   payload.clear();
@@ -157,31 +151,34 @@ void Simulation::post_message(Message msg) {
 }
 
 void Simulation::dispatch_top() {
-  const Event& top = queue_.top();
-  registry_->advance_time(top.time);
-  now_ = top.time;
-  if (top.is_delivery) {
-    Message m = std::move(const_cast<Event&>(top).msg);
-    queue_.pop();
-    registry_->on_dispatch(m.instance_id, m.to, /*delivery=*/true, m.type,
-                           now_, m.payload.size());
-    party(m.to).deliver(m);
-    recycle_payload(std::move(m.payload));
+  const auto it = queue_.begin();
+  const Time t = static_cast<Time>(it->first >> kKlassBits);
+  const int klass = static_cast<int>(it->first & kMaxKlass);
+  // Move the body out before dispatching: handlers may push into this very
+  // bucket (self-deliveries at now_, klass-0 ideal-gadget timers), which
+  // can reallocate its FIFO; a drained bucket is erased right away.
+  Bucket& bucket = it->second;
+  Event ev = std::move(bucket.events[bucket.head++]);
+  if (bucket.head == bucket.events.size()) queue_.erase(it);
+  --queue_size_;
+  registry_->advance_time(t);
+  now_ = t;
+  if (auto* m = std::get_if<Message>(&ev)) {
+    registry_->on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
+                           now_, m->payload.size());
+    party(m->to).deliver(*m);
+    recycle_payload(std::move(m->payload));
   } else {
-    const std::uint32_t owner = top.owner;
-    const PartyId owner_party = top.owner_party;
-    const int klass = top.klass;
-    auto fn = std::move(const_cast<Event&>(top).fn);
-    queue_.pop();
-    registry_->on_dispatch(owner, owner_party, /*delivery=*/false, klass,
-                           now_, 0);
-    fn();
+    Timer& timer = std::get<Timer>(ev);
+    registry_->on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
+                           klass, now_, 0);
+    timer.fn();
   }
 }
 
 std::optional<Time> Simulation::next_event_time() const {
   if (queue_.empty()) return std::nullopt;
-  return queue_.top().time;
+  return static_cast<Time>(queue_.begin()->first >> kKlassBits);
 }
 
 bool Simulation::run_one() {
@@ -205,7 +202,7 @@ RunStatus Simulation::run() {
       last_status_ = RunStatus::event_limit;
       return RunStatus::event_limit;
     }
-    if (queue_.top().time >= config_.horizon) {
+    if (*next_event_time() >= config_.horizon) {
       registry_->finish(now_);
       last_status_ = RunStatus::horizon;
       return RunStatus::horizon;
@@ -223,22 +220,18 @@ RunStatus Simulation::run() {
 }
 
 obs::QueueStats Simulation::queue_stats() const {
-  // The priority_queue hides its container; a derived type can still name
-  // the protected member, giving read access to the heap array without
-  // copying or draining millions of pending events on the trip path.
-  struct Peeker : std::priority_queue<Event, std::vector<Event>, EventOrder> {
-    static const std::vector<Event>& container(
-        const std::priority_queue<Event, std::vector<Event>, EventOrder>& q) {
-      return q.*(&Peeker::c);
-    }
-  };
   obs::QueueStats stats;
-  const std::vector<Event>& events = Peeker::container(queue_);
-  stats.depth = events.size();
-  for (const Event& ev : events) {
-    stats.by_klass[ev.klass]++;
-    if (ev.is_delivery) stats.deliveries_by_instance[ev.msg.instance_id]++;
-    if (ev.time > stats.horizon) stats.horizon = ev.time;
+  stats.depth = queue_size_;
+  for (const auto& [key, bucket] : queue_) {
+    const Time t = static_cast<Time>(key >> kKlassBits);
+    const int klass = static_cast<int>(key & kMaxKlass);
+    stats.by_klass[klass] += bucket.events.size() - bucket.head;
+    for (std::size_t i = bucket.head; i < bucket.events.size(); ++i) {
+      if (const auto* m = std::get_if<Message>(&bucket.events[i])) {
+        stats.deliveries_by_instance[m->instance_id]++;
+      }
+    }
+    if (t > stats.horizon) stats.horizon = t;
   }
   return stats;
 }

@@ -1,8 +1,8 @@
 // Discrete-event simulator: parties, routing, timers, adversarial delivery.
 //
 // One Simulation hosts n parties, an event queue ordered by (virtual time,
-// insertion sequence), a network model (synchronous with bound Δ, or
-// asynchronous), and an Adversary that corrupts parties and schedules
+// event klass, insertion order), a network model (synchronous with bound Δ,
+// or asynchronous), and an Adversary that corrupts parties and schedules
 // delivery. Protocol code is written as ProtocolInstance subclasses that
 // exchange Messages and set timers; the same protocol code runs unchanged
 // under either network, which is the whole point of the paper.
@@ -23,8 +23,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "net/adversary.h"
@@ -50,12 +50,6 @@ class Party;
 class ProtocolInstance;
 class Transport;
 class DesTransport;
-
-/// True when NAMPC_SCALING_BASELINE is set in the environment: disables the
-/// scaling-path optimisations that have a behaviour-identical slow twin
-/// (payload pooling, batched row generation, incremental star maintenance)
-/// so the speedup they buy can be measured in-place. Read once per process.
-[[nodiscard]] bool scaling_baseline();
 
 /// Why Simulation::run returned.
 enum class RunStatus {
@@ -175,9 +169,11 @@ class Simulation {
     return Rng::oracle_coin(config_.seed ^ 0x9e3779b9ull, label, round);
   }
 
-  /// Schedules fn at absolute virtual time t (>= now). Within one tick,
-  /// message deliveries (klass 0) run before timers (klass 1): a protocol
-  /// step "at time T" observes every message that arrived "by time T".
+  /// Schedules fn at absolute virtual time t (>= now). Within one tick
+  /// events run in klass order (0..3, anything else is rejected), and in
+  /// insertion order within one (tick, klass): message deliveries (klass 0)
+  /// run before timers, so a protocol step "at time T" observes every
+  /// message that arrived "by time T".
   /// `owner` / `owner_party` attribute the timer's dispatch cost in the
   /// metrics registry (ProtocolInstance::at/after pass their own identity;
   /// driver-scheduled timers default to the unattributed cell).
@@ -203,9 +199,8 @@ class Simulation {
 
   /// Copies `src` into a payload buffer drawn from the freelist pool
   /// (send_all fans one payload out to n recipients; reusing delivered
-  /// buffers avoids n fresh heap allocations per broadcast). Falls back to
-  /// a plain copy under scaling_baseline(). `owner` attributes the pool
-  /// hit/miss to the instance doing the copy.
+  /// buffers avoids n fresh heap allocations per broadcast). `owner`
+  /// attributes the pool hit/miss to the instance doing the copy.
   [[nodiscard]] Words pooled_copy(const Words& src,
                                   std::uint32_t owner = kNoInstance);
   /// Returns a delivered payload's buffer to the freelist.
@@ -253,33 +248,34 @@ class Simulation {
   }
 
  private:
-  /// Queue entry. Deliveries (klass 0) carry the Message inline —
-  /// `is_delivery` selects which member is live — so the dominant event
-  /// kind costs no std::function heap allocation.
-  struct Event {
-    Time time;
-    int klass;
-    std::uint64_t seq;
-    bool is_delivery = false;
+  /// A timer event's body: the closure plus its cost attribution.
+  struct Timer {
     std::function<void()> fn;
-    Message msg;
-    // Cost attribution for timer events (deliveries carry msg.instance_id).
     std::uint32_t owner = kNoInstance;
     PartyId owner_party = -1;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.klass != b.klass) return a.klass > b.klass;
-      return a.seq > b.seq;
-    }
+  /// Queue entry body. Deliveries carry the Message inline, so the dominant
+  /// event kind costs no std::function heap allocation. The dispatch order
+  /// lives in the bucket key and FIFO position, not in the body.
+  using Event = std::variant<Message, Timer>;
+
+  /// Every event of one (time, klass), in insertion order. Events are
+  /// ordered by (time, klass, insertion sequence) and the sequence only
+  /// grows, so popping bucket FIFOs in key order reproduces that total
+  /// order with no comparator. `head` is the next event to pop; a bucket
+  /// is erased as soon as it drains.
+  struct Bucket {
+    std::vector<Event> events;
+    std::size_t head = 0;
   };
+  static constexpr int kKlassBits = 2;
+  static constexpr int kMaxKlass = (1 << kKlassBits) - 1;
 
   void audit_privacy() const;
 
-  void push_event(Event ev);
+  void push_event(Time t, int klass, Event ev);
 
-  /// Pops and dispatches the top event (shared by run and run_one).
+  /// Pops and dispatches the earliest event (shared by run and run_one).
   void dispatch_top();
 
   /// Composition of the pending event queue (flight recorder, cold path).
@@ -300,8 +296,9 @@ class Simulation {
   RunStatus last_status_ = RunStatus::quiescent;
   Rng rng_;
   Time now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  // Pending events keyed by (time << kKlassBits) | klass.
+  std::map<std::uint64_t, Bucket> queue_;
+  std::size_t queue_size_ = 0;
   std::vector<std::unique_ptr<Party>> parties_;
   // Delivery backend: des_transport_ is the built-in default, transport_
   // the active (possibly externally attached) one.

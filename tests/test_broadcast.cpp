@@ -1,9 +1,14 @@
-// Protocol tests: Acast (Lemma 4.4), Π_BC (Lemma 4.6), Π_BA (Lemma 4.8),
-// in both networks, with honest and corrupt senders, Full and Ideal modes.
+// Protocol tests: Acast (Lemma 4.4), Π_BC (Lemma 4.6), Π_SBA's wire
+// decoding and tally, Π_BA (Lemma 4.8), in both networks, with honest and
+// corrupt senders, Full and Ideal modes.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 #include "broadcast/ba.h"
 #include "broadcast/bc.h"
+#include "broadcast/sba.h"
 #include "sim_helpers.h"
 
 namespace nampc {
@@ -183,6 +188,228 @@ INSTANTIATE_TEST_SUITE_P(
                       BcCase{NetworkKind::synchronous, true},
                       BcCase{NetworkKind::asynchronous, false},
                       BcCase{NetworkKind::asynchronous, true}));
+
+// ----------------------------------------------------------------- SBA --
+
+/// Π_SBA's payload for (phase, value): [phase, len, present, inner_len,
+/// inner...] — the layout Sba::run_exchange and the king round send.
+Words sba_payload(Word phase, const SbaValue& v) {
+  Writer inner;
+  inner.boolean(v.has_value());
+  inner.vec(v.has_value() ? *v : Words{});
+  Writer w;
+  w.u64(phase);
+  w.vec(inner.words());
+  return std::move(w).take();
+}
+
+/// What the Reader-based Π_SBA decoder yielded for a payload: whether it
+/// threw DecodeError, whether the phase was in range, and the message.
+struct ReaderDecode {
+  bool threw = false;
+  bool in_range = false;
+  int phase = 0;
+  SbaValue value;
+};
+
+/// The Reader-based decoding Sba::on_message used before it decoded in
+/// place, kept verbatim as the wire-compatibility reference.
+ReaderDecode reader_decode(const Words& payload, int ts) {
+  ReaderDecode out;
+  try {
+    Reader r(payload);
+    out.phase = static_cast<int>(r.u64());
+    if (out.phase < 0 || out.phase > ts) return out;
+    const Words body = r.vec();
+    Reader rb(body);
+    const bool present = rb.boolean();
+    Words inner = rb.vec();
+    out.in_range = true;
+    if (present) out.value = std::move(inner);
+  } catch (const DecodeError&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+void expect_same_decode(const Words& payload, int ts) {
+  const ReaderDecode ref = reader_decode(payload, ts);
+  std::optional<SbaWireMsg> got;
+  bool threw = false;
+  try {
+    got = decode_sba_message(payload, ts);
+  } catch (const DecodeError&) {
+    threw = true;
+  }
+  ::testing::Message where;
+  where << "payload size " << payload.size();
+  ASSERT_EQ(threw, ref.threw) << where;
+  if (threw) return;
+  ASSERT_EQ(got.has_value(), ref.in_range) << where;
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->phase, ref.phase) << where;
+  EXPECT_EQ(got->value(), ref.value) << where;
+  EXPECT_TRUE(got->equals(ref.value)) << where;
+}
+
+TEST(SbaWire, RejectsAndAcceptsExactlyAsTheReaderDecoder) {
+  constexpr int kTs = 2;
+  const Word huge = ~Word{0};
+  const std::vector<Words> cases = {
+      {},                       // empty: no phase
+      {0},                      // phase only
+      {9},                      // phase only, out of range: no throw
+      {huge},                   // phase -1 after the int cast
+      {(Word{1} << 32) + 1},    // wraps to phase 1: phase only, throws
+      {0, 0},                   // outer length 0: no present flag
+      {0, 1, 1},                // outer length 1: no inner length
+      {0, 3, 1, 1},             // outer length past the payload
+      {0, huge, 1, 0},          // outer length overflowing the payload
+      {0, 2, 1, 1, 7},          // inner length past the outer length
+      {0, 2, 1, huge},          // inner length overflowing
+      {0, 2, 1, 0},             // present, empty value
+      {0, 2, 0, 0},             // ⊥
+      {0, 3, 0, 1, 7},          // ⊥ with ignored inner words
+      {1, 3, 2, 1, 7},          // nonzero present flag counts as present
+      {2, 3, 1, 1, 7, 99, 98},  // trailing words after the outer vector
+      {0, 4, 1, 1, 7, 8},       // trailing words inside the outer vector
+      {3, 3, 1, 1, 7},          // phase ts+1: out of range
+      sba_payload(1, Words{4, 5, 6}),
+      sba_payload(2, std::nullopt),
+  };
+  for (const Words& payload : cases) expect_same_decode(payload, kTs);
+
+  // Random short payloads over small words, so lengths hit every boundary.
+  std::mt19937_64 gen(2024);
+  for (int iter = 0; iter < 20000; ++iter) {
+    Words payload(gen() % 9);
+    for (Word& w : payload) w = gen() % 6;
+    expect_same_decode(payload, kTs);
+  }
+}
+
+TEST(SbaTally, FirstMessagePerSenderWins) {
+  const Words first = sba_payload(0, Words{1});
+  const Words second = sba_payload(0, Words{2});
+  SbaPhaseTally tally;
+  tally.add(3, *decode_sba_message(first, 1));
+  tally.add(3, *decode_sba_message(second, 1));
+  const auto [value, count] = tally.majority();
+  EXPECT_EQ(value, SbaValue(Words{1}));
+  EXPECT_EQ(count, 1);
+
+  tally.close();
+  tally.add(0, *decode_sba_message(second, 1));
+  EXPECT_EQ(tally.majority().second, 0);  // closed: later messages ignored
+}
+
+TEST(SbaTally, MatchesNaiveReferenceOverRandomMultisets) {
+  const std::vector<SbaValue> pool = {
+      std::nullopt, Words{}, Words{1}, Words{2}, Words{1, 2}, Words{2, 1},
+      Words{0, 0}};
+  std::mt19937_64 gen(77);
+  for (int iter = 0; iter < 2000; ++iter) {
+    // Random (sender, value) arrivals with repeated senders; small pools
+    // and few senders make count ties common.
+    std::vector<std::pair<PartyId, SbaValue>> arrivals(gen() % 12);
+    for (auto& [from, v] : arrivals) {
+      from = static_cast<PartyId>(gen() % 8);
+      v = pool[gen() % pool.size()];
+    }
+    // Naive reference: first value per sender, then the maximum count with
+    // ties towards the sba_value_less-smaller value.
+    std::map<PartyId, SbaValue> first;
+    for (const auto& [from, v] : arrivals) first.emplace(from, v);
+    SbaValue best;
+    int best_count = 0;
+    for (const SbaValue& candidate : pool) {
+      int count = 0;
+      for (const auto& [from, v] : first) count += v == candidate ? 1 : 0;
+      if (count > best_count ||
+          (count > 0 && count == best_count &&
+           sba_value_less(candidate, best))) {
+        best = candidate;
+        best_count = count;
+      }
+    }
+    SbaPhaseTally tally;
+    for (const auto& [from, v] : arrivals) {
+      const Words payload = sba_payload(0, v);
+      tally.add(from, *decode_sba_message(payload, 0));
+    }
+    const auto [value, count] = tally.majority();
+    EXPECT_EQ(count, best_count);
+    EXPECT_EQ(value, best);
+  }
+}
+
+/// Four-party synchronous Π_SBA (ts = 1) with party 3 corrupt and silent;
+/// tests inject party 3's messages directly.
+struct SbaHarness {
+  std::unique_ptr<Simulation> sim;
+  std::vector<Sba*> honest;
+
+  SbaHarness() {
+    auto adv = std::make_shared<ScriptedAdversary>(PartySet::of({3}));
+    adv->silence(3);
+    sim = make_sim({.params = testing::p4_1_0()}, adv);
+    for (int i = 0; i < 3; ++i) {
+      honest.push_back(&sim->party(i).spawn<Sba>("sba", nullptr));
+    }
+  }
+
+  /// Delivers `payload` from party 3 to every honest party at time t.
+  void inject(Time t, int type, const Words& payload) {
+    for (std::size_t i = 0; i < honest.size(); ++i) {
+      const Sba* inst = honest[i];
+      Message m;
+      m.from = 3;
+      m.to = static_cast<PartyId>(i);
+      m.type = type;
+      m.instance_id = inst->instance_id();
+      m.instance_name = &sim->instance_name(inst->instance_id());
+      m.payload = payload;
+      sim->schedule_delivery(t, std::move(m));
+    }
+  }
+
+  void expect_output(const SbaValue& want) {
+    EXPECT_EQ(sim->run(), RunStatus::quiescent);
+    for (Sba* inst : honest) {
+      ASSERT_TRUE(inst->has_output());
+      EXPECT_EQ(inst->output(), want);
+    }
+  }
+};
+
+constexpr int kSbaExchange = 1;
+constexpr int kSbaKing = 2;
+
+TEST(SbaProtocol, FirstExchangeMessagePerPhaseAndSenderWins) {
+  // Honest inputs {9}, {9}, {5}. Party 3 first says {5}, then {9}: the
+  // first wins, so phase 0 ties 2–2 below the n - ts quorum, everyone takes
+  // king P0's tie-break {5}, and phase 1 agrees on it. Counting the second
+  // message instead would give {9} a quorum of 3 and output {9}.
+  SbaHarness h;
+  h.inject(1, kSbaExchange, sba_payload(0, Words{5}));
+  h.inject(2, kSbaExchange, sba_payload(0, Words{9}));
+  h.honest[0]->start(Words{9});
+  h.honest[1]->start(Words{9});
+  h.honest[2]->start(Words{5});
+  h.expect_output(Words{5});
+}
+
+TEST(SbaProtocol, KingMessageFromNonKingIsIgnored) {
+  // Honest inputs {9}, {5}, {7}: no quorum in phase 0, so everyone adopts
+  // the phase-0 king's value. King P0 announces its tie-break {5}; party
+  // 3's earlier KING message {9} must not count, since 3 is not the king.
+  SbaHarness h;
+  h.inject(h.sim->timing().delta + 1, kSbaKing, sba_payload(0, Words{9}));
+  h.honest[0]->start(Words{9});
+  h.honest[1]->start(Words{5});
+  h.honest[2]->start(Words{7});
+  h.expect_output(Words{5});
+}
 
 // ------------------------------------------------------------------ BA --
 

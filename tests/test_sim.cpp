@@ -1,6 +1,12 @@
 // Unit tests: discrete-event simulator, routing, buffering, adversary
-// model enforcement, event ordering.
+// model enforcement, event ordering (the (time, klass, insertion) queue
+// order against a reference model).
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <random>
+#include <set>
+#include <tuple>
 
 #include "sim_helpers.h"
 
@@ -203,6 +209,175 @@ TEST(Sim, CorruptSenderMayExceedDeltaInSync) {
   EXPECT_EQ(sim->run(), RunStatus::quiescent);
   ASSERT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals[0].when, 9999);
+}
+
+// --------------------------------------------------------- event queue --
+
+/// One event a dispatched event schedules: `dt` ticks after now (0 = the
+/// tick being drained), in `klass`; klass-0 events are message deliveries
+/// or klass-0 timers.
+struct QueueChild {
+  Time dt;
+  int klass;
+  bool delivery;
+};
+
+/// Deterministic per-event fan-out, shared by the simulator run and the
+/// reference model: events with id < cap schedule 0–2 children, a third of
+/// them at the current tick (pushes into the bucket being drained, or into
+/// a lower klass than the running handler's).
+std::vector<QueueChild> queue_children(std::uint64_t seed, int id, int cap) {
+  if (id >= cap) return {};
+  std::mt19937_64 gen(seed * 7919 + static_cast<std::uint64_t>(id));
+  std::vector<QueueChild> out(gen() % 3);
+  for (QueueChild& c : out) {
+    c.dt = gen() % 3 == 0 ? 0 : static_cast<Time>(1 + gen() % 4);
+    c.klass = static_cast<int>(gen() % 4);
+    c.delivery = c.klass == 0 && gen() % 2 == 0;
+  }
+  return out;
+}
+
+/// The initial events: random (time, klass) in a small window, plus a few
+/// at and past kFarFuture.
+std::vector<std::pair<Time, QueueChild>> queue_roots(std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::vector<std::pair<Time, QueueChild>> roots;
+  for (int i = 0; i < 40; ++i) {
+    const int klass = static_cast<int>(gen() % 4);
+    roots.push_back({static_cast<Time>(gen() % 12),
+                     {0, klass, klass == 0 && gen() % 2 == 0}});
+  }
+  for (int i = 0; i < 3; ++i) {
+    roots.push_back({kFarFuture + static_cast<Time>(gen() % 2),
+                     {0, static_cast<int>(gen() % 4), false}});
+  }
+  return roots;
+}
+
+/// Reference dispatch order: a sort by (time, klass, insertion index) over
+/// the events as they are scheduled. `horizon` stops it like run() does.
+std::vector<int> reference_queue_order(std::uint64_t seed, int cap,
+                                       Time horizon) {
+  std::set<std::tuple<Time, int, int>> pending;
+  int next_id = 0;
+  for (const auto& [t, c] : queue_roots(seed)) {
+    pending.emplace(t, c.klass, next_id++);
+  }
+  std::vector<int> order;
+  while (!pending.empty()) {
+    const auto [t, klass, id] = *pending.begin();
+    if (t >= horizon) break;
+    pending.erase(pending.begin());
+    order.push_back(id);
+    for (const QueueChild& c : queue_children(seed, id, cap)) {
+      pending.emplace(t + c.dt, c.klass, next_id++);
+    }
+  }
+  return order;
+}
+
+/// Drives the simulator through the same events; deliveries land on a
+/// Relay instance, timers are plain closures.
+class QueueHarness {
+ public:
+  class Relay : public ProtocolInstance {
+   public:
+    Relay(Party& party, std::string key, QueueHarness* harness)
+        : ProtocolInstance(party, std::move(key)), harness_(harness) {}
+    void on_message(const Message& msg) override { harness_->fire(msg.type); }
+
+   private:
+    QueueHarness* harness_;
+  };
+
+  QueueHarness(Simulation& sim, std::uint64_t seed, int cap)
+      : sim_(sim),
+        seed_(seed),
+        cap_(cap),
+        relay_(sim.party(0).spawn<Relay>("relay", this)) {
+    for (const auto& [t, c] : queue_roots(seed)) push(t, c);
+  }
+
+  std::vector<int> order;
+
+  void fire(int id) {
+    order.push_back(id);
+    for (const QueueChild& c : queue_children(seed_, id, cap_)) {
+      push(sim_.now() + c.dt, c);
+    }
+  }
+
+ private:
+  void push(Time t, const QueueChild& c) {
+    const int id = next_id_++;
+    if (c.delivery) {
+      Message m;
+      m.from = 0;
+      m.to = 0;
+      m.type = id;
+      m.instance_id = relay_.instance_id();
+      m.instance_name = &sim_.instance_name(relay_.instance_id());
+      sim_.schedule_delivery(t, std::move(m));
+    } else {
+      sim_.schedule(t, [this, id] { fire(id); }, c.klass);
+    }
+  }
+
+  Simulation& sim_;
+  std::uint64_t seed_;
+  int cap_;
+  Relay& relay_;
+  int next_id_ = 0;
+};
+
+TEST(SimQueue, DispatchOrderIsTimeKlassInsertion) {
+  constexpr int kCap = 400;
+  constexpr Time kHorizon = 1000;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Simulation::Config cfg;
+    cfg.params = testing::p4_1_0();
+    cfg.seed = seed;
+    cfg.horizon = kHorizon;
+    Simulation sim(cfg, std::make_shared<Adversary>());
+    QueueHarness harness(sim, seed, kCap);
+    if (seed % 2 == 0) {
+      // run(): stops before the kFarFuture events beyond the horizon and
+      // leaves them pending.
+      EXPECT_EQ(sim.run(), RunStatus::horizon);
+      EXPECT_EQ(harness.order, reference_queue_order(seed, kCap, kHorizon));
+      ASSERT_TRUE(sim.next_event_time().has_value());
+      EXPECT_GE(*sim.next_event_time(), kHorizon);
+      EXPECT_LT(sim.now(), kHorizon);
+    } else {
+      // run_one(): ignores the horizon and steps one event at a time, in
+      // next_event_time() order, until the queue is empty.
+      const std::vector<int> want = reference_queue_order(
+          seed, kCap, std::numeric_limits<Time>::max());
+      Time last = 0;
+      while (const std::optional<Time> next = sim.next_event_time()) {
+        EXPECT_GE(*next, last);
+        ASSERT_TRUE(sim.run_one());
+        EXPECT_EQ(sim.now(), *next);
+        last = *next;
+      }
+      EXPECT_FALSE(sim.run_one());
+      EXPECT_EQ(sim.last_status(), RunStatus::quiescent);
+      EXPECT_EQ(harness.order, want);
+      EXPECT_GE(sim.now(), kFarFuture);
+    }
+  }
+}
+
+TEST(SimQueue, RejectsKlassOutsideZeroToThree) {
+  auto sim = make_sim({.params = testing::p4_1_0()});
+  EXPECT_THROW(sim->schedule(0, [] {}, 4), InvariantError);
+  EXPECT_THROW(sim->schedule(0, [] {}, -1), InvariantError);
+  for (int klass = 0; klass <= 3; ++klass) {
+    EXPECT_NO_THROW(sim->schedule(0, [] {}, klass));
+  }
+  EXPECT_EQ(sim->run(), RunStatus::quiescent);
+  EXPECT_EQ(sim->metrics().events_processed, 4u);
 }
 
 TEST(PartySetUtil, SubsetIteration) {
