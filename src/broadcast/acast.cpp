@@ -13,7 +13,7 @@ Acast::Acast(Party& party, std::string key, PartyId sender, OutputFn on_output)
 void Acast::start(Words message) {
   NAMPC_REQUIRE(my_id() == sender_, "only the sender starts an Acast");
   notify_input(message);
-  send_all(kInit, message);
+  send_all(kInit, std::move(message));
 }
 
 void Acast::on_message(const Message& msg) {
@@ -49,13 +49,13 @@ void Acast::on_message(const Message& msg) {
   }
 }
 
-void Acast::maybe_echo(const Words& m) {
+void Acast::maybe_echo(const Payload& m) {
   if (echoed_) return;
   echoed_ = true;
   send_all(kEcho, m);
 }
 
-void Acast::maybe_ready(const Words& m) {
+void Acast::maybe_ready(const Payload& m) {
   if (readied_) return;
   readied_ = true;
   send_all(kReady, m);

@@ -40,8 +40,8 @@ class Acast : public ProtocolInstance {
  private:
   enum MsgType { kInit = 1, kEcho = 2, kReady = 3 };
 
-  void maybe_echo(const Words& m);
-  void maybe_ready(const Words& m);
+  void maybe_echo(const Payload& m);
+  void maybe_ready(const Payload& m);
   void maybe_output(const Words& m);
 
   PartyId sender_;

@@ -14,12 +14,6 @@
 
 namespace nampc {
 
-namespace {
-/// Freelist cap: deliveries and sends roughly alternate, so the pool stays
-/// small in steady state; the cap only bounds pathological drain phases.
-constexpr std::size_t kPayloadPoolCap = 1u << 16;
-}  // namespace
-
 Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
     : config_(config),
       timing_(Timing::derive(config.params, config.delta)),
@@ -107,27 +101,6 @@ std::uint32_t Simulation::intern_instance(const std::string& key) {
   return id;
 }
 
-Words Simulation::pooled_copy(const Words& src, std::uint32_t owner) {
-  if (payload_pool_.empty()) {
-    registry_->on_pool(owner, /*hit=*/false);
-    return src;
-  }
-  Words w = std::move(payload_pool_.back());
-  payload_pool_.pop_back();
-  w.assign(src.begin(), src.end());
-  registry_->on_pool(owner, /*hit=*/true);
-  return w;
-}
-
-void Simulation::recycle_payload(Words&& payload) {
-  if (payload.capacity() == 0 || payload_pool_.size() >= kPayloadPoolCap) {
-    return;
-  }
-  payload.clear();
-  payload_pool_.push_back(std::move(payload));
-  registry_->on_recycle();
-}
-
 void Simulation::post_message(Message msg) {
   NAMPC_REQUIRE(msg.from >= 0 && msg.from < n() && msg.to >= 0 && msg.to < n(),
                 "message endpoints out of range");
@@ -167,7 +140,6 @@ void Simulation::dispatch_top() {
     registry_->on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
                            now_, m->payload.size());
     party(m->to).deliver(*m);
-    recycle_payload(std::move(m->payload));
   } else {
     Timer& timer = std::get<Timer>(ev);
     registry_->on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
@@ -357,7 +329,7 @@ ProtocolInstance::~ProtocolInstance() {
   party_.unregister_instance(instance_id_);
 }
 
-void ProtocolInstance::send(PartyId to, int type, Words payload) {
+void ProtocolInstance::send(PartyId to, int type, Payload payload) {
   Message msg;
   msg.from = my_id();
   msg.to = to;
@@ -368,9 +340,23 @@ void ProtocolInstance::send(PartyId to, int type, Words payload) {
   sim().post_message(std::move(msg));
 }
 
-void ProtocolInstance::send_all(int type, const Words& payload) {
+void ProtocolInstance::send_all(int type, Words payload) {
+  fan_out(type, Payload(std::move(payload)), /*fresh=*/true);
+}
+
+void ProtocolInstance::send_all(int type, const Payload& payload) {
+  fan_out(type, payload, /*fresh=*/false);
+}
+
+void ProtocolInstance::fan_out(int type, const Payload& payload, bool fresh) {
   for (int to = 0; to < n(); ++to) {
-    send(to, type, sim().pooled_copy(payload, instance_id_));
+    if (!payload.empty()) {
+      // A fresh buffer was allocated once (the miss); every other message
+      // of the broadcast reuses it (a hit).
+      sim().metrics_registry().on_pool(instance_id_,
+                                       /*hit=*/!fresh || to > 0);
+    }
+    send(to, type, payload);
   }
 }
 

@@ -1,11 +1,12 @@
 // Real-concurrency transport backend: one OS thread per party.
 //
 // Each party gets its own Simulation (so the existing single-threaded
-// protocol stack, routing, metrics and payload pooling run unchanged) with
-// a ThreadedTransport attached at the Transport seam (net/transport.h).
+// protocol stack, routing and metrics run unchanged) with a
+// ThreadedTransport attached at the Transport seam (net/transport.h).
 // Cross-party messages travel over per-receiver mutex+condvar mailboxes as
 // WireMessages — carrying the instance key text, because interned ids are
-// runtime-local — and local virtual time advances with the wall clock:
+// runtime-local — and a broadcast's one shared Payload buffer goes to
+// every receiving thread. Local virtual time advances with the wall clock:
 // tick = elapsed-microseconds / tick_us against an epoch shared by all
 // runtimes, so ticks are comparable across parties. Timers fire when the
 // wall clock passes their virtual due time; a runtime that falls behind

@@ -33,7 +33,7 @@ struct WireMessage {
   PartyId to = -1;
   int type = 0;
   std::string instance_key;
-  Words payload;
+  Payload payload;  ///< shared with the broadcast's other recipients
   std::uint64_t seq = 0;
   Time send_tick = 0;
 };

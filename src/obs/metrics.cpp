@@ -130,22 +130,6 @@ void MetricsRegistry::finish(Time now) {
   sample_up_to(closing);
 }
 
-std::vector<RingEvent> MetricsRegistry::ring_in_order() const {
-  std::vector<RingEvent> out;
-  out.reserve(ring_fill_);
-  if (ring_fill_ < ring_.size()) {
-    out.assign(ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(ring_fill_));
-    return out;
-  }
-  out.insert(out.end(),
-             ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_),
-             ring_.end());
-  out.insert(out.end(), ring_.begin(),
-             ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_));
-  return out;
-}
-
 void MetricsRegistry::record_valve_trip(
     Time now, std::uint64_t max_events, const QueueStats& queue,
     const std::function<const std::string&(std::uint32_t)>& key_of) {
@@ -388,7 +372,6 @@ void write_metrics_jsonl(std::ostream& os, const Simulation& sim) {
     w.kv("words", totals.words_sent);
     w.kv("pool_hits", totals.payload_pool_hits);
     w.kv("pool_misses", totals.payload_pool_misses);
-    w.kv("payloads_recycled", totals.payloads_recycled);
     w.kv("peak_queue_depth", totals.peak_queue_depth);
     w.kv("samples", static_cast<std::uint64_t>(reg.samples().size()));
     w.kv("dropped_samples", reg.dropped_samples());

@@ -56,8 +56,8 @@ struct InstanceCost {
   std::uint64_t timers = 0;    ///< subset of events: scheduled closures
   std::uint64_t messages = 0;  ///< point-to-point sends
   std::uint64_t words = 0;     ///< payload words across those sends
-  std::uint64_t pool_hits = 0;    ///< pooled_copy served from the freelist
-  std::uint64_t pool_misses = 0;  ///< pooled_copy that had to allocate
+  std::uint64_t pool_hits = 0;    ///< send_all message reusing a buffer
+  std::uint64_t pool_misses = 0;  ///< send_all payload buffer allocated
 };
 
 /// Per-party totals (dimension: the party that executed/sent).
@@ -87,6 +87,34 @@ struct RingEvent {
   bool delivery = false;
   std::int32_t tag = 0;  ///< delivery: message type; timer: event klass
   std::uint32_t words = 0;
+};
+
+/// The flight ring in dispatch order (oldest first), read in place: a
+/// per-step reader (perfbench's traced loop takes back() after every
+/// event) costs no copy of the ring.
+class RingView {
+ public:
+  RingView(const std::vector<RingEvent>& ring, std::size_t next,
+           std::size_t fill)
+      : ring_(ring), first_(fill < ring.size() ? 0 : next), size_(fill) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const RingEvent& operator[](std::size_t i) const {
+    return ring_[(first_ + i) % ring_.size()];
+  }
+  [[nodiscard]] const RingEvent& back() const { return (*this)[size_ - 1]; }
+  /// Copies the events out, oldest first (the flight record keeps them).
+  operator std::vector<RingEvent>() const {
+    std::vector<RingEvent> out;
+    out.reserve(size_);
+    for (std::size_t i = 0; i < size_; ++i) out.push_back((*this)[i]);
+    return out;
+  }
+
+ private:
+  const std::vector<RingEvent>& ring_;
+  std::size_t first_;
+  std::size_t size_;
 };
 
 /// Snapshot taken when the event-limit safety valve trips: who generated
@@ -191,7 +219,8 @@ class MetricsRegistry {
     payload_hist_[bucket_of(words)]++;
   }
 
-  /// A pooled_copy was served (hit) or had to allocate (miss).
+  /// A send_all message with a non-empty body reused the broadcast's
+  /// shared buffer (hit) or was the one that allocated it (miss).
   void on_pool(std::uint32_t instance, bool hit) {
     InstanceCost& row = instance_row(instance);
     const std::size_t k = kind_index(instance);
@@ -205,9 +234,6 @@ class MetricsRegistry {
       kind_rows_[k].pool_misses++;
     }
   }
-
-  /// A delivered payload buffer returned to the freelist.
-  void on_recycle() { compat_->payloads_recycled++; }
 
   /// The DES queue grew to `depth` in-flight events.
   void on_queue_depth(std::uint64_t depth) {
@@ -331,7 +357,9 @@ class MetricsRegistry {
     return flight_;
   }
   /// The flight ring in dispatch order (oldest first); empty when disabled.
-  [[nodiscard]] std::vector<RingEvent> ring_in_order() const;
+  [[nodiscard]] RingView ring_in_order() const {
+    return RingView(ring_, ring_next_, ring_fill_);
+  }
   [[nodiscard]] const std::vector<std::uint64_t>& queue_depth_hist() const {
     return queue_hist_;
   }

@@ -28,9 +28,8 @@ struct Metrics {
   std::uint64_t field_mults = 0;         ///< sampled only where instrumented
 
   // Allocation-behaviour counters for the scaling engine (BENCH_scaling):
-  std::uint64_t payload_pool_hits = 0;   ///< send_all copies served from pool
-  std::uint64_t payload_pool_misses = 0; ///< copies that had to allocate
-  std::uint64_t payloads_recycled = 0;   ///< delivered buffers returned
+  std::uint64_t payload_pool_hits = 0;   ///< send_all messages reusing a buffer
+  std::uint64_t payload_pool_misses = 0; ///< send_all buffers allocated
   std::uint64_t peak_queue_depth = 0;    ///< max in-flight DES events
 
   /// Privacy audit: per (dealer id), the maximum number of honest univariate

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "adversary/scripted.h"
 #include "net/simulation.h"
@@ -61,6 +63,29 @@ inline MonitoredSim make_monitored_sim(
   ms.sim = make_sim(spec, std::move(adversary));
   ms.sim->set_monitors(ms.monitors.get());
   return ms;
+}
+
+/// Broadcasts on demand and keeps every body it receives, so a test can
+/// see which payload buffers the recipients hold.
+class Fanout final : public ProtocolInstance {
+ public:
+  Fanout(Party& party, std::string key)
+      : ProtocolInstance(party, std::move(key)) {}
+  void broadcast(Words body) { send_all(1, std::move(body)); }
+  void forward(const Payload& body) { send_all(2, body); }
+  void on_message(const Message& msg) override {
+    received.push_back(msg.payload);
+  }
+  std::vector<Payload> received;
+};
+
+/// One Fanout "f" per party, indexed by party id.
+inline std::vector<Fanout*> spawn_fanouts(Simulation& sim) {
+  std::vector<Fanout*> out;
+  for (int i = 0; i < sim.n(); ++i) {
+    out.push_back(&sim.party(i).spawn<Fanout>("f"));
+  }
+  return out;
 }
 
 /// Canonical parameter points from DESIGN.md §4.

@@ -1,19 +1,24 @@
-// Scaling-engine invariants: the payload pool recycles without aliasing,
-// instance-id interning is stable, the batched RS encode and dealer row
-// caches are bit-identical to the per-point paths they replace, the
-// incremental Star repair preserves matching maximality on random NOK
+// Scaling-engine invariants: send_all shares one payload buffer and counts
+// it exactly, instance-id interning is stable, the batched RS encode and
+// dealer row caches are bit-identical to the per-point paths they replace,
+// the incremental Star repair preserves matching maximality on random NOK
 // sequences, and the scaling sweep is byte-deterministic serial vs parallel.
 #include <gtest/gtest.h>
 
 #include "graph/star_incremental.h"
 #include "net/simulation.h"
+#include "obs/metrics.h"
 #include "poly/batch_eval.h"
 #include "rs/rs_encode.h"
 #include "sharing/wss.h"
+#include "sim_helpers.h"
 #include "util/sweep.h"
 
 namespace nampc {
 namespace {
+
+using testing::Fanout;
+using testing::spawn_fanouts;
 
 Simulation::Config small_config() {
   Simulation::Config cfg;
@@ -22,33 +27,55 @@ Simulation::Config small_config() {
   return cfg;
 }
 
-TEST(PayloadPool, RecycleThenReuse) {
+TEST(PayloadPool, SendAllAllocatesOnceThenShares) {
   Simulation sim(small_config(), std::make_shared<Adversary>());
-  const Words src{1, 2, 3, 4};
+  const std::vector<Fanout*> f = spawn_fanouts(sim);
+  const Words body{1, 2, 3, 4};
 
-  // Empty pool: the copy allocates (a miss).
-  Words a = sim.pooled_copy(src);
-  EXPECT_EQ(a, src);
+  // A fresh body: one buffer allocated (the miss), shared by the other
+  // n - 1 messages (hits); every recipient, self included, holds it.
+  f[0]->broadcast(body);
+  (void)sim.run();
   EXPECT_EQ(sim.metrics().payload_pool_misses, 1u);
-  EXPECT_EQ(sim.metrics().payload_pool_hits, 0u);
+  EXPECT_EQ(sim.metrics().payload_pool_hits, 3u);
+  EXPECT_EQ(sim.metrics().payload_pool_hits +
+                sim.metrics().payload_pool_misses,
+            sim.metrics().messages_sent);
+  const Payload original = f[0]->received.at(0);
+  for (const Fanout* p : f) {
+    ASSERT_EQ(p->received.size(), 1u);
+    EXPECT_EQ(p->received[0], body);
+    EXPECT_TRUE(p->received[0].shares_buffer_with(original));
+  }
 
-  // A delivered buffer goes back; the next copy is served from the pool.
-  sim.recycle_payload(std::move(a));
-  EXPECT_EQ(sim.metrics().payloads_recycled, 1u);
-  const Words other{9, 8};
-  Words b = sim.pooled_copy(other);
-  EXPECT_EQ(b, other);
-  EXPECT_EQ(sim.metrics().payload_pool_hits, 1u);
-
-  // The pooled buffer is a copy, not an alias.
-  b[0] = 42;
-  EXPECT_EQ(other[0], 9u);
+  // Forwarding a received body allocates nothing: n more hits, and the
+  // new recipients hold the very same buffer.
+  f[1]->forward(f[1]->received[0]);
+  (void)sim.run();
+  EXPECT_EQ(sim.metrics().payload_pool_misses, 1u);
+  EXPECT_EQ(sim.metrics().payload_pool_hits, 7u);
+  EXPECT_EQ(sim.metrics().payload_pool_hits +
+                sim.metrics().payload_pool_misses,
+            sim.metrics().messages_sent);
+  for (const Fanout* p : f) {
+    ASSERT_EQ(p->received.size(), 2u);
+    EXPECT_TRUE(p->received[1].shares_buffer_with(original));
+  }
 }
 
-TEST(PayloadPool, ZeroCapacityBuffersAreNotPooled) {
+TEST(PayloadPool, EmptyBodiesCountNeither) {
   Simulation sim(small_config(), std::make_shared<Adversary>());
-  sim.recycle_payload(Words{});
-  EXPECT_EQ(sim.metrics().payloads_recycled, 0u);
+  const std::vector<Fanout*> f = spawn_fanouts(sim);
+  f[2]->broadcast(Words{});
+  f[3]->forward(Payload{});
+  (void)sim.run();
+  EXPECT_EQ(sim.metrics().messages_sent, 8u);
+  EXPECT_EQ(sim.metrics().payload_pool_hits, 0u);
+  EXPECT_EQ(sim.metrics().payload_pool_misses, 0u);
+  for (const Fanout* p : f) {
+    ASSERT_EQ(p->received.size(), 2u);
+    EXPECT_TRUE(p->received[0].empty());
+  }
 }
 
 TEST(InstanceInterning, StableDenseIds) {
@@ -277,9 +304,39 @@ TEST(ScalingWss, PoolAndGridActiveOnFullRun) {
   inst[0]->start({Polynomial::random_with_constant(Fp(21), 5, rng)});
   (void)sim.run();
   for (Wss* w : inst) EXPECT_EQ(w->outcome(), WssOutcome::rows);
-  EXPECT_GT(sim.metrics().payloads_recycled, 0u);
-  EXPECT_GT(sim.metrics().payload_pool_hits, 0u);
   EXPECT_GT(sim.metrics().peak_queue_depth, 0u);
+  // hits + misses counts exactly the send_all messages with a body. Acast,
+  // SBA and ABA broadcast; WSS sends its rows and points point to point,
+  // never empty, so every empty message of the run is a broadcast one (the
+  // AOK acasts carry their claim in the instance key). Each SBA broadcast
+  // allocates its buffer; a non-empty acast allocates once, for the
+  // sender's init, and its n echoes and n readies per party forward it.
+  const obs::MetricsRegistry& reg = sim.metrics_registry();
+  const std::uint64_t n = 16;
+  std::uint64_t broadcast_msgs = 0;
+  for (std::size_t k = 0; k < reg.kind_rows().size(); ++k) {
+    const obs::InstanceCost& row = reg.kind_rows()[k];
+    const std::string& kind = reg.kind_names()[k];
+    if (kind == "acast" || kind == "sba" || kind == "aba") {
+      broadcast_msgs += row.messages;
+    } else {
+      EXPECT_EQ(row.pool_hits + row.pool_misses, 0u) << kind;
+    }
+    if (kind == "sba") {
+      EXPECT_EQ(row.pool_hits + row.pool_misses, row.messages);
+      EXPECT_EQ(row.pool_misses * n, row.messages);
+    }
+    if (kind == "acast") {
+      EXPECT_GT(row.pool_misses, 0u);
+      EXPECT_EQ(row.pool_hits + row.pool_misses,
+                row.pool_misses * n * (2 * n + 1));
+    }
+  }
+  const std::uint64_t empty_msgs = reg.payload_words_hist().at(0);
+  EXPECT_GT(broadcast_msgs, empty_msgs);
+  EXPECT_EQ(sim.metrics().payload_pool_hits +
+                sim.metrics().payload_pool_misses,
+            broadcast_msgs - empty_msgs);
   // Pairwise consistency across the cached-evaluation paths.
   for (int i = 0; i < 16; ++i) {
     for (int j = i + 1; j < 16; ++j) {

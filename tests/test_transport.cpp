@@ -7,13 +7,17 @@
 // envelope (10 threaded runs with the same inputs produce monitor-clean,
 // output-identical results even though interleavings differ), and the
 // replay gate: a schedule recorded from a real threaded run, re-imported
-// into the DES via ReplayAdversary, replays byte-identically twice.
+// into the DES via ReplayAdversary, replays byte-identically twice. Also
+// the shared message body (Payload): copies share one buffer, rewrites
+// detach, and one send_all buffer is read and released on several party
+// threads.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <vector>
 
 #include "adversary/replay.h"
+#include "field/fp.h"
 #include "mpc/mpc.h"
 #include "net/schedule.h"
 #include "net/threaded.h"
@@ -25,8 +29,10 @@
 namespace nampc {
 namespace {
 
+using testing::Fanout;
 using testing::make_sim;
 using testing::SimSpec;
+using testing::spawn_fanouts;
 
 /// The dealer's row-0 polynomial for the WSS runs below: every backend and
 /// every replay must share one input to compare outputs.
@@ -57,6 +63,121 @@ std::vector<std::uint64_t> wss_output_words(const Wss& w) {
     }
   }
   return out;
+}
+
+TEST(Payload, EmptyAllocatesNothing) {
+  Words reserved;
+  reserved.reserve(8);
+  const Payload none;
+  const Payload from_empty(std::move(reserved));
+  const Payload copy = none;
+  for (const Payload* p : {&none, &from_empty, &copy}) {
+    EXPECT_TRUE(p->empty());
+    EXPECT_EQ(p->size(), 0u);
+    EXPECT_FALSE(p->shares_buffer_with(*p)) << "an empty payload holds none";
+    EXPECT_EQ(*p, Words{});
+  }
+}
+
+TEST(Payload, CopiesShareOneBuffer) {
+  Payload a(Words{1, 2, 3});
+  const Payload b = a;
+  Payload c;
+  c = b;
+  EXPECT_TRUE(a.shares_buffer_with(b));
+  EXPECT_TRUE(c.shares_buffer_with(a));
+  EXPECT_EQ(&a.words(), &c.words());
+  EXPECT_EQ(c, (Words{1, 2, 3}));
+  const Payload moved = std::move(a);
+  EXPECT_TRUE(moved.shares_buffer_with(b));
+  EXPECT_TRUE(a.empty());  // a moved-from payload is empty
+}
+
+TEST(Payload, MutateOnSharedBufferDetaches) {
+  const Payload a(Words{1, 2, 3});
+  Payload b = a;
+  b.mutate()[0] = 9;
+  EXPECT_EQ(a, (Words{1, 2, 3}));
+  EXPECT_EQ(b, (Words{9, 2, 3}));
+  EXPECT_FALSE(a.shares_buffer_with(b));
+  // b is now the sole holder of its buffer: writes stay in place.
+  const Word* own = b.words().data();
+  b.mutate()[1] = 7;
+  EXPECT_EQ(b.words().data(), own);
+  EXPECT_EQ(b, (Words{9, 7, 3}));
+  // Mutating an empty payload gives it a private buffer.
+  Payload e;
+  e.mutate().push_back(4);
+  EXPECT_EQ(e, (Words{4}));
+}
+
+/// A corrupt sender's rewrite of one recipient's copy of a send_all must
+/// not reach any other recipient, the sender's own self-delivery included.
+TEST(Payload, GarbleReachesOnlyTheTargetedRecipient) {
+  auto adv = std::make_shared<ScriptedAdversary>(PartySet::of({2}));
+  adv->add_rule(
+      [](const Message& m, Time) { return m.from == 2 && m.to == 0; },
+      [](const Message& m, Time, Rng&) {
+        SendDecision d;
+        Message garbled = m;
+        for (Word& w : garbled.payload.mutate()) w = (Fp(w) + Fp(1)).value();
+        d.replacement = std::move(garbled);
+        return d;
+      });
+  SimSpec spec;
+  auto sim = make_sim(spec, adv);
+  const std::vector<Fanout*> f = spawn_fanouts(*sim);
+  const Words body{10, 20, 30};
+  f[2]->broadcast(body);
+  (void)sim->run();
+  ASSERT_EQ(f[0]->received.size(), 1u);
+  EXPECT_EQ(f[0]->received[0], (Words{11, 21, 31}));
+  for (int i = 1; i < sim->n(); ++i) {
+    const Fanout& p = *f[static_cast<std::size_t>(i)];
+    ASSERT_EQ(p.received.size(), 1u) << "party " << i;
+    EXPECT_EQ(p.received[0], body) << "party " << i;
+    EXPECT_TRUE(p.received[0].shares_buffer_with(f[2]->received[0]));
+    EXPECT_FALSE(p.received[0].shares_buffer_with(f[0]->received[0]));
+  }
+}
+
+/// Threaded probe: party 0 broadcasts one body and keeps its own copy, so
+/// the buffer outlives every recipient. The others check the words and note
+/// the buffer's address on their own threads, then drop their handles
+/// there.
+class SharedBodyProbe final : public ProtocolInstance {
+ public:
+  static inline const Words kBody{5, 6, 7, 8};
+  SharedBodyProbe(Party& party, std::string key)
+      : ProtocolInstance(party, std::move(key)) {}
+  void start() { send_all(1, kBody); }
+  void on_message(const Message& msg) override {
+    if (msg.from != 0 || msg.payload != kBody) return;
+    buffer = msg.payload.words().data();
+    if (my_id() == 0) kept = msg.payload;
+  }
+  const Word* buffer = nullptr;
+  Payload kept;
+};
+
+TEST(Threaded, SendAllBufferSharedAcrossPartyThreads) {
+  ThreadedConfig cfg;
+  cfg.params = {4, 1, 0};
+  std::vector<SharedBodyProbe*> probes(4, nullptr);
+  const ThreadedResult result = run_threaded(
+      cfg, [&probes](Simulation& sim, PartyId id) -> std::function<bool()> {
+        auto& p = sim.party(id).spawn<SharedBodyProbe>("probe");
+        probes[static_cast<std::size_t>(id)] = &p;
+        if (id == 0) p.start();
+        return [&p] { return p.buffer != nullptr; };
+      });
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.wire_messages, 3u);
+  const SharedBodyProbe& sender = *probes[0];
+  ASSERT_EQ(sender.kept, SharedBodyProbe::kBody);
+  for (const SharedBodyProbe* p : probes) {
+    EXPECT_EQ(p->buffer, sender.kept.words().data());
+  }
 }
 
 TEST(TransportSeam, DesIsTheDefaultBackend) {
