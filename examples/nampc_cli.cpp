@@ -34,7 +34,7 @@
 //     --rawtrace FILE            write an analysable trace (schema
 //                                nampc-trace/1) for the nampc_trace CLI
 //     --report FILE              write a machine-readable run report
-//                                (schema nampc-run-report/3); "-" = stdout
+//                                (schema nampc-run-report/4); "-" = stdout
 //     --metrics FILE             write the cost-attribution metrics dump
 //                                (schema nampc-metrics/1 JSONL, read by
 //                                nampc_prof); "-" = stdout

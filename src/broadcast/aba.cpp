@@ -27,7 +27,6 @@ struct IdealAbaGadget {
 
 Aba::Aba(Party& party, std::string key, OutputFn on_output)
     : ProtocolInstance(party, std::move(key)), on_output_(std::move(on_output)) {
-  metrics().ba_instances++;
   span_kind("aba");
 }
 

@@ -1,13 +1,17 @@
 #include "graph/blossom.h"
 
+#include <algorithm>
+
 #include "util/assert.h"
 
 namespace nampc {
 
 namespace {
 
-/// Scratch state for one augmenting search (classical contracted-blossom
-/// BFS; see e.g. Tarjan's notes on Edmonds' algorithm).
+/// Scratch state for augmenting searches (classical contracted-blossom
+/// BFS; see e.g. Tarjan's notes on Edmonds' algorithm). One Search serves
+/// any number of augment() calls on the same graph, so a full matching
+/// allocates its scratch once rather than once per unmatched vertex.
 struct Search {
   const Graph& g;
   std::vector<int>& match;
@@ -15,18 +19,39 @@ struct Search {
   std::vector<int> base;     ///< contracted-blossom base of each vertex
   std::vector<char> used;    ///< vertex is an even (outer) node
   std::vector<char> in_blossom;
+  std::vector<char> seen;    ///< lowest_common_base's path marks
   std::vector<int> queue;
 
   Search(const Graph& graph, std::vector<int>& m)
       : g(graph),
         match(m),
-        p(static_cast<std::size_t>(graph.size()), -1),
+        p(static_cast<std::size_t>(graph.size())),
         base(static_cast<std::size_t>(graph.size())),
-        used(static_cast<std::size_t>(graph.size()), 0),
-        in_blossom(static_cast<std::size_t>(graph.size()), 0) {}
+        used(static_cast<std::size_t>(graph.size())),
+        in_blossom(static_cast<std::size_t>(graph.size())),
+        seen(static_cast<std::size_t>(graph.size())) {
+    queue.reserve(static_cast<std::size_t>(graph.size()));
+  }
+
+  /// Searches for an augmenting path from unmatched `root` and flips it.
+  bool augment(int root) {
+    std::fill(p.begin(), p.end(), -1);
+    std::fill(used.begin(), used.end(), 0);
+    queue.clear();
+    int v = find_path(root);
+    if (v == -1) return false;
+    while (v != -1) {
+      const int pv = p[static_cast<std::size_t>(v)];
+      const int next = match[static_cast<std::size_t>(pv)];
+      match[static_cast<std::size_t>(v)] = pv;
+      match[static_cast<std::size_t>(pv)] = v;
+      v = next;
+    }
+    return true;
+  }
 
   [[nodiscard]] int lowest_common_base(int a, int b) {
-    std::vector<char> seen(static_cast<std::size_t>(g.size()), 0);
+    std::fill(seen.begin(), seen.end(), 0);
     for (;;) {
       a = base[static_cast<std::size_t>(a)];
       seen[static_cast<std::size_t>(a)] = 1;
@@ -114,17 +139,7 @@ bool blossom_augment(const Graph& g, std::vector<int>& match, int root) {
   NAMPC_REQUIRE(root >= 0 && root < g.size() &&
                     match[static_cast<std::size_t>(root)] == -1,
                 "augment root must be an unmatched vertex");
-  Search search(g, match);
-  int v = search.find_path(root);
-  if (v == -1) return false;
-  while (v != -1) {
-    const int pv = search.p[static_cast<std::size_t>(v)];
-    const int next = match[static_cast<std::size_t>(pv)];
-    match[static_cast<std::size_t>(v)] = pv;
-    match[static_cast<std::size_t>(pv)] = v;
-    v = next;
-  }
-  return true;
+  return Search(g, match).augment(root);
 }
 
 std::vector<int> blossom_matching(const Graph& g) {
@@ -142,8 +157,9 @@ std::vector<int> blossom_matching(const Graph& g) {
       match[static_cast<std::size_t>(pick)] = v;
     }
   }
+  Search search(g, match);
   for (int v = 0; v < g.size(); ++v) {
-    if (match[static_cast<std::size_t>(v)] == -1) blossom_augment(g, match, v);
+    if (match[static_cast<std::size_t>(v)] == -1) search.augment(v);
   }
   return match;
 }

@@ -1,12 +1,10 @@
 // Maximum matching in general graphs via Edmonds' blossom algorithm.
 //
-// The bitmask-DP matching in graph.cpp is exact but exponential; it is kept
-// for n <= 24 where the committed benches pin its (byte-stable) outputs.
-// Past that the scaling engine needs a polynomial algorithm: this is the
-// classical O(V^3) blossom-contraction search, deterministic (vertices and
-// neighbours are always scanned in increasing order), which both the
-// from-scratch matching for wide graphs and the incremental (n,t)-Star
-// maintenance (star_incremental.h) build on.
+// The classical O(V^3) blossom-contraction search, deterministic (vertices
+// and neighbours are always scanned in increasing order). It is the one
+// matching algorithm of the tree: both the from-scratch maximum_matching
+// (graph.h) and the incremental (n,t)-Star maintenance (star_incremental.h)
+// build on it.
 #pragma once
 
 #include <vector>

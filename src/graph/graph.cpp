@@ -1,7 +1,5 @@
 #include "graph/graph.h"
 
-#include <unordered_map>
-
 #include "graph/blossom.h"
 #include "graph/star_incremental.h"
 #include "util/assert.h"
@@ -89,77 +87,14 @@ Graph Graph::decode(Reader& r) {
   return g;
 }
 
-namespace {
-
-/// Exact maximum-matching size on the vertex subset `mask`, memoised.
-int matching_size(const Graph& g, std::uint64_t mask,
-                  // NOLINT-NAMPC(det-unordered): lookup-only memo, never iterated
-                  std::unordered_map<std::uint64_t, int>& memo) {
-  if (mask == 0) return 0;
-  const auto it = memo.find(mask);
-  if (it != memo.end()) return it->second;
-  const int v = __builtin_ctzll(mask);
-  // Option 1: leave v unmatched.
-  int best = matching_size(g, mask & ~(1ull << v), memo);
-  // Option 2: match v with an available neighbour.
-  const std::uint64_t nbrs = g.neighbors(v).mask() & mask;
-  std::uint64_t m = nbrs;
-  while (m != 0) {
-    const int u = __builtin_ctzll(m);
-    m &= m - 1;
-    const int cand =
-        1 + matching_size(g, mask & ~(1ull << v) & ~(1ull << u), memo);
-    if (cand > best) best = cand;
-  }
-  memo.emplace(mask, best);
-  return best;
-}
-
-}  // namespace
-
 std::vector<std::pair<int, int>> maximum_matching(const Graph& g) {
-  if (g.size() > 24) {
-    // Wide graphs take the polynomial blossom path; the DP below is kept
-    // verbatim for n <= 24 so its committed outputs never drift.
-    const std::vector<int> match = blossom_matching(g);
-    std::vector<std::pair<int, int>> edges;
-    for (int v = 0; v < g.size(); ++v) {
-      const int u = match[static_cast<std::size_t>(v)];
-      if (u > v) edges.emplace_back(v, u);
-    }
-    return edges;
+  const std::vector<int> match = blossom_matching(g);
+  std::vector<std::pair<int, int>> edges;
+  for (int v = 0; v < g.size(); ++v) {
+    const int u = match[static_cast<std::size_t>(v)];
+    if (u > v) edges.emplace_back(v, u);
   }
-  // NOLINT-NAMPC(det-unordered): memoisation table for the exact matching
-  // recursion; looked up by mask only, never iterated, so hash order cannot
-  // reach the (deterministic, greedy) reconstruction below.
-  std::unordered_map<std::uint64_t, int> memo;
-  std::uint64_t mask = PartySet::full(g.size()).mask();
-  std::vector<std::pair<int, int>> matching;
-  // Greedy reconstruction: repeatedly commit the choice that preserves the
-  // optimum.
-  while (mask != 0) {
-    const int v = __builtin_ctzll(mask);
-    const int best = matching_size(g, mask, memo);
-    if (matching_size(g, mask & ~(1ull << v), memo) == best) {
-      mask &= ~(1ull << v);
-      continue;
-    }
-    std::uint64_t m = g.neighbors(v).mask() & mask;
-    bool committed = false;
-    while (m != 0) {
-      const int u = __builtin_ctzll(m);
-      m &= m - 1;
-      const std::uint64_t next = mask & ~(1ull << v) & ~(1ull << u);
-      if (1 + matching_size(g, next, memo) == best) {
-        matching.emplace_back(v, u);
-        mask = next;
-        committed = true;
-        break;
-      }
-    }
-    NAMPC_ASSERT(committed, "matching reconstruction failed");
-  }
-  return matching;
+  return edges;
 }
 
 std::optional<StarResult> find_star(const Graph& g, int t) {

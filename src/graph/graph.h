@@ -1,14 +1,11 @@
 // Undirected graphs over party vertices, with the combinatorial algorithms
 // the sharing protocols need:
-//   * maximum matching (exact; bitmask DP for n <= 24, Edmonds' blossom
-//     algorithm past that — see blossom.h),
+//   * maximum matching (Edmonds' blossom algorithm — see blossom.h),
 //   * the (n,t)-Star algorithm of Protocol 4.2 (with the E/F extension),
 //   * maximum clique / "clique of size s containing U" (Bron-Kerbosch),
 // all exact, as the paper requires (the dealer is explicitly allowed
 // exponential time; see §2.1 "Challenges in achieving polynomial time").
-// Vertex counts up to PartySet::kMaxParties (128) are supported; the n <= 24
-// DP is kept on its legacy path so the committed bench tables stay
-// byte-stable.
+// Vertex counts up to PartySet::kMaxParties (128) are supported.
 #pragma once
 
 #include <optional>
@@ -58,7 +55,7 @@ class Graph {
 };
 
 /// A maximum matching in g: pairwise disjoint edges, maximum cardinality.
-/// Bitmask DP for n <= 24 (legacy byte-stable path), blossom beyond.
+/// Edmonds' blossom algorithm, polynomial for every n (blossom.h).
 [[nodiscard]] std::vector<std::pair<int, int>> maximum_matching(const Graph& g);
 
 /// Output of the (n,t)-Star algorithm (Protocol 4.2): (C,D) is the star;

@@ -18,10 +18,9 @@ Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
     : config_(config),
       timing_(Timing::derive(config.params, config.delta)),
       adversary_(std::move(adversary)),
-      registry_(std::make_unique<obs::MetricsRegistry>()),
+      registry_(config.params.n),
       rng_(config.seed) {
   if (!config_.allow_infeasible) config_.params.validate();
-  registry_->bind(&metrics_, config_.params.n);
   NAMPC_REQUIRE(adversary_ != nullptr, "simulation needs an adversary");
   const PartySet corrupt = adversary_->corrupt_set();
   NAMPC_REQUIRE(corrupt.subset_of(PartySet::full(config_.params.n)),
@@ -80,7 +79,7 @@ void Simulation::push_event(Time t, int klass, Event ev) {
       (static_cast<std::uint64_t>(t) << kKlassBits) |
       static_cast<std::uint64_t>(klass);
   queue_[key].events.push_back(std::move(ev));
-  registry_->on_queue_depth(++queue_size_);
+  registry_.on_queue_depth(++queue_size_);
 }
 
 void Simulation::schedule(Time t, std::function<void()> fn, int klass,
@@ -104,7 +103,7 @@ std::uint32_t Simulation::intern_instance(const std::string& key) {
 void Simulation::post_message(Message msg) {
   NAMPC_REQUIRE(msg.from >= 0 && msg.from < n() && msg.to >= 0 && msg.to < n(),
                 "message endpoints out of range");
-  registry_->on_send(msg.instance_id, msg.from, msg.payload.size());
+  registry_.on_send(msg.instance_id, msg.from, msg.payload.size());
   if (tracer_) {
     tracer_->on_send(msg.from, msg.instance(), msg.payload.size());
   }
@@ -134,16 +133,16 @@ void Simulation::dispatch_top() {
   Event ev = std::move(bucket.events[bucket.head++]);
   if (bucket.head == bucket.events.size()) queue_.erase(it);
   --queue_size_;
-  registry_->advance_time(t);
+  registry_.advance_time(t);
   now_ = t;
   if (auto* m = std::get_if<Message>(&ev)) {
-    registry_->on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
-                           now_, m->payload.size());
+    registry_.on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
+                          now_, m->payload.size());
     party(m->to).deliver(*m);
   } else {
     Timer& timer = std::get<Timer>(ev);
-    registry_->on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
-                           klass, now_, 0);
+    registry_.on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
+                          klass, now_, 0);
     timer.fn();
   }
 }
@@ -158,7 +157,7 @@ bool Simulation::run_one() {
     last_status_ = RunStatus::quiescent;
     return false;
   }
-  if (metrics_.events_processed >= config_.max_events) {
+  if (metrics().events_processed >= config_.max_events) {
     on_event_limit();
     last_status_ = RunStatus::event_limit;
     return false;
@@ -169,19 +168,19 @@ bool Simulation::run_one() {
 
 RunStatus Simulation::run() {
   while (!queue_.empty()) {
-    if (metrics_.events_processed >= config_.max_events) {
+    if (metrics().events_processed >= config_.max_events) {
       on_event_limit();
       last_status_ = RunStatus::event_limit;
       return RunStatus::event_limit;
     }
     if (*next_event_time() >= config_.horizon) {
-      registry_->finish(now_);
+      registry_.finish(now_);
       last_status_ = RunStatus::horizon;
       return RunStatus::horizon;
     }
     dispatch_top();
   }
-  registry_->finish(now_);
+  registry_.finish(now_);
   // Monitors first: a quiescence violation should be recorded (and
   // reported to whoever reads the engine) even when the privacy-audit
   // assert below is about to abort the run.
@@ -214,8 +213,8 @@ void Simulation::on_event_limit() {
   // ring hold the actionable record of the final spins. Composed into one
   // buffer and written in one call so concurrent sweep jobs tripping the
   // limit cannot interleave their dumps.
-  registry_->finish(now_);
-  registry_->record_valve_trip(
+  registry_.finish(now_);
+  registry_.record_valve_trip(
       now_, config_.max_events, queue_stats(),
       [this](std::uint32_t id) -> const std::string& {
         return instance_name(id);
@@ -223,7 +222,7 @@ void Simulation::on_event_limit() {
   std::ostringstream dump;
   dump << "nampc: event limit (" << config_.max_events << ") tripped at t="
        << now_ << "\n";
-  obs::render_flight_summary(dump, *registry_->flight());
+  obs::render_flight_summary(dump, *registry_.flight());
   Log::dump_ring(dump);
   std::cerr << dump.str();
   // Env-gated flight-record dump: CI legs set NAMPC_FLIGHT_DIR so any
@@ -236,7 +235,7 @@ void Simulation::on_event_limit() {
     std::ostringstream name;
     name << dir << "/flight_n" << config_.params.n << "_"
          << (config_.kind == NetworkKind::synchronous ? "sync" : "async")
-         << "_seed" << config_.seed << "_e" << metrics_.events_processed
+         << "_seed" << config_.seed << "_e" << metrics().events_processed
          << "_i" << instance_count() << ".json";
     std::ofstream out(name.str());
     if (out) {
@@ -246,11 +245,27 @@ void Simulation::on_event_limit() {
   }
 }
 
+void Simulation::note_honest_reveal(const std::string& instance_key,
+                                    PartyId dealer, PartyId member) {
+  HonestReveals& entry = honest_reveals_[instance_key];
+  entry.dealer = dealer;
+  entry.honest.insert(member);
+}
+
+std::map<PartyId, std::uint64_t> Simulation::worst_honest_reveals() const {
+  std::map<PartyId, std::uint64_t> worst;
+  for (const auto& [key, entry] : honest_reveals_) {
+    std::uint64_t& w = worst[entry.dealer];
+    w = std::max(w, static_cast<std::uint64_t>(entry.honest.size()));
+  }
+  return worst;
+}
+
 void Simulation::audit_privacy() const {
   // The proofs bound the adversary's view by at most ts honest univariate
   // polynomials per sharing instance (§6/§7 privacy arguments). Failing
   // loudly here turns a silent privacy regression into a red test.
-  for (const auto& [dealer, worst] : metrics_.honest_polys_revealed) {
+  for (const auto& [dealer, worst] : worst_honest_reveals()) {
     NAMPC_ASSERT(worst <= static_cast<std::uint64_t>(config_.params.ts),
                  "privacy audit: dealer P" + std::to_string(dealer) +
                      " had " + std::to_string(worst) +

@@ -30,6 +30,7 @@
 #include "net/adversary.h"
 #include "net/message.h"
 #include "net/time.h"
+#include "obs/metrics.h"
 #include "util/assert.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -41,8 +42,6 @@ namespace nampc {
 namespace obs {
 class Tracer;
 class MonitorEngine;
-class MetricsRegistry;
-struct QueueStats;
 struct ProtocolEvent;
 }
 
@@ -94,7 +93,7 @@ class Simulation {
     bool allow_infeasible = false;
     /// Privacy audit at quiescence: assert that no dealer had more than ts
     /// honest row polynomials revealed in any single sharing instance
-    /// (Metrics::honest_polys_revealed). Skipped under allow_infeasible.
+    /// (honest_reveals()). Skipped under allow_infeasible.
     bool privacy_audit = true;
   };
 
@@ -109,16 +108,38 @@ class Simulation {
   [[nodiscard]] const ProtocolParams& params() const { return config_.params; }
   [[nodiscard]] const Timing& timing() const { return timing_; }
   [[nodiscard]] NetworkKind kind() const { return config_.kind; }
-  [[nodiscard]] Metrics& metrics() { return metrics_; }
-  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+  /// The run totals, owned by the metrics registry.
+  [[nodiscard]] Metrics& metrics() { return registry_.totals(); }
+  [[nodiscard]] const Metrics& metrics() const { return registry_.totals(); }
 
   /// The dimensional cost-attribution registry (obs/metrics.h). Always
-  /// attached; it is the single accounting path for the shared counters —
-  /// the flat Metrics struct above is its thin compatibility view.
-  [[nodiscard]] obs::MetricsRegistry& metrics_registry() { return *registry_; }
+  /// attached; it is the single accounting path for the run's counters.
+  [[nodiscard]] obs::MetricsRegistry& metrics_registry() { return registry_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics_registry() const {
-    return *registry_;
+    return registry_;
   }
+
+  /// Privacy ledger entry of one sharing instance: its dealer and the
+  /// honest parties whose row polynomials were made public there.
+  struct HonestReveals {
+    PartyId dealer = -1;
+    PartySet honest;
+  };
+
+  /// Records that honest party `member` had its row polynomial made public
+  /// in sharing instance `instance_key` dealt by `dealer`. Instance keys are
+  /// identical across parties, so each logical reveal is recorded once (by
+  /// the revealed party's own instance copy).
+  void note_honest_reveal(const std::string& instance_key, PartyId dealer,
+                          PartyId member);
+  /// The privacy ledger, keyed by sharing-instance key.
+  [[nodiscard]] const std::map<std::string, HonestReveals>& honest_reveals()
+      const {
+    return honest_reveals_;
+  }
+  /// Per dealer, the most honest rows revealed in any one instance it dealt
+  /// (the proofs require each <= ts).
+  [[nodiscard]] std::map<PartyId, std::uint64_t> worst_honest_reveals() const;
 
   /// Why the most recent run() returned (quiescent before any run).
   [[nodiscard]] RunStatus last_status() const { return last_status_; }
@@ -282,8 +303,8 @@ class Simulation {
   obs::Tracer* tracer_ = nullptr;
   obs::MonitorEngine* monitors_ = nullptr;
   Mutex* monitor_mu_ = nullptr;
-  Metrics metrics_;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
+  obs::MetricsRegistry registry_;
+  std::map<std::string, HonestReveals> honest_reveals_;
   RunStatus last_status_ = RunStatus::quiescent;
   Rng rng_;
   Time now_ = 0;
@@ -359,10 +380,11 @@ class Party {
 ///
 /// Observability: every instance automatically gets a trace span (opened
 /// at registration, closed at destruction) when a Tracer is attached.
-/// Subclasses annotate it with span_kind (once, in the constructor, next
-/// to the Metrics instance counter), phase() for named transitions, and
-/// span_done() when the protocol delivers its output — done-begin is the
-/// per-primitive latency reported against the paper's T_* formulas.
+/// Subclasses annotate it with span_kind (once, in the constructor; the tag
+/// is also what counts the instance, in MetricsRegistry::kind_tags),
+/// phase() for named transitions, and span_done() when the protocol
+/// delivers its output — done-begin is the per-primitive latency reported
+/// against the paper's T_* formulas.
 /// NAMPC_PLOG(level) logs with virtual time / party / kind / key attached
 /// centrally.
 class ProtocolInstance {

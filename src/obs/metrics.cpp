@@ -111,10 +111,10 @@ void MetricsRegistry::sample_up_to(Time t) {
     }
     MetricsSample s;
     s.vt = next_sample_;
-    s.events = compat_->events_processed;
+    s.events = totals_.events_processed;
     s.timers = timers_total_;
-    s.messages = compat_->messages_sent;
-    s.words = compat_->words_sent;
+    s.messages = totals_.messages_sent;
+    s.words = totals_.words_sent;
     s.kinds = kind_rows_;
     samples_.push_back(std::move(s));
     next_sample_ += sample_dvt_;
@@ -346,18 +346,6 @@ void write_metrics_jsonl(std::ostream& os, const Simulation& sim) {
       }
       w.end_object();
     }
-    w.end_object();
-    os << '\n';
-  }
-
-  // Legacy free-form named counters (Metrics::bump) ride along so the
-  // compatibility view loses nothing.
-  for (const auto& [name, value] : totals.named) {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("row", "counter");
-    w.kv("name", name);
-    w.kv("value", value);
     w.end_object();
     os << '\n';
   }

@@ -4,10 +4,9 @@
 // accounting path for run-level cost counters: every DES event, message,
 // payload word and payload-pool action is attributed to the interned
 // instance id that owns it (net/message.h), to the party that performed it,
-// and — via the span_kind tags — to its primitive kind. The legacy
-// util/metrics.h `Metrics` struct remains as a thin compatibility view: the
-// registry writes the shared totals through it, so every existing report
-// field stays byte-stable while the dimensional cells live here.
+// and — via the span_kind tags — to its primitive kind. The registry owns
+// the run totals (util/metrics.h `Metrics`, read as Simulation::metrics())
+// and the per-kind instance counts (kind_tags()); nothing else keeps them.
 //
 // Determinism contract: all state is derived from the DES event sequence
 // (no wall clock, no pointers, no unordered containers), iteration orders
@@ -25,7 +24,7 @@
 //     what a tripped 200M-event safety valve was actually doing;
 //   * tools/nampc_prof: offline summary / --top / --series / --diff over
 //     dumps, and the per-primitive "measured_cost" section of run reports
-//     (schema nampc-run-report/3) cross-referenced against the paper's
+//     (schema nampc-run-report/4) cross-referenced against the paper's
 //     complexity terms (docs/PAPER_MAP.md, "Measured-cost fields").
 #pragma once
 
@@ -159,20 +158,11 @@ class MetricsRegistry {
   /// [2^(i-1), 2^i). 65 buckets always (uint64 range).
   static constexpr std::size_t kHistBuckets = 65;
 
-  MetricsRegistry() = default;
+  /// A registry for a run of `n` parties (sizes the party dimension).
+  explicit MetricsRegistry(int n)
+      : party_rows_(static_cast<std::size_t>(n < 0 ? 0 : n)) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Attaches the compatibility view and sizes the party dimension. Called
-  /// once by the owning Simulation's constructor.
-  void bind(Metrics* compat, int n) {
-    compat_ = compat;
-    party_rows_.assign(static_cast<std::size_t>(n < 0 ? 0 : n), PartyCost{});
-    kind_names_.assign(1, "");  // kind id 0 = untagged
-    kind_rows_.assign(1, InstanceCost{});
-    kind_tags_.assign(1, 0);
-    ring_.assign(kDefaultRing, RingEvent{});
-  }
 
   // ------------------------------------------------------- hot-path hooks
   // Called by the Simulation only; each is a handful of increments.
@@ -180,7 +170,7 @@ class MetricsRegistry {
   /// An event left the queue and is about to execute.
   void on_dispatch(std::uint32_t instance, PartyId party, bool delivery,
                    std::int32_t tag, Time vt, std::uint64_t words) {
-    compat_->events_processed++;
+    totals_.events_processed++;
     InstanceCost& row = instance_row(instance);
     row.events++;
     const std::size_t k = kind_index(instance);
@@ -203,8 +193,8 @@ class MetricsRegistry {
 
   /// A message entered the network (Simulation::post_message).
   void on_send(std::uint32_t instance, PartyId from, std::uint64_t words) {
-    compat_->messages_sent++;
-    compat_->words_sent += words;
+    totals_.messages_sent++;
+    totals_.words_sent += words;
     InstanceCost& row = instance_row(instance);
     row.messages++;
     row.words += words;
@@ -225,11 +215,11 @@ class MetricsRegistry {
     InstanceCost& row = instance_row(instance);
     const std::size_t k = kind_index(instance);
     if (hit) {
-      compat_->payload_pool_hits++;
+      totals_.payload_pool_hits++;
       row.pool_hits++;
       kind_rows_[k].pool_hits++;
     } else {
-      compat_->payload_pool_misses++;
+      totals_.payload_pool_misses++;
       row.pool_misses++;
       kind_rows_[k].pool_misses++;
     }
@@ -237,7 +227,7 @@ class MetricsRegistry {
 
   /// The DES queue grew to `depth` in-flight events.
   void on_queue_depth(std::uint64_t depth) {
-    if (depth > compat_->peak_queue_depth) compat_->peak_queue_depth = depth;
+    if (depth > totals_.peak_queue_depth) totals_.peak_queue_depth = depth;
     queue_hist_[bucket_of(depth)]++;
   }
 
@@ -245,7 +235,7 @@ class MetricsRegistry {
   /// A derived protocol re-tags its base (Vss over Wss): the latest tag
   /// wins for attribution — tags land in the constructor, before any event
   /// is dispatched to the instance. Each call also counts one party-copy
-  /// under the kind, mirroring the layered Metrics instance counters.
+  /// under the kind (kind_tags): the run's only per-kind instance count.
   void tag_instance(std::uint32_t instance, std::string_view kind) {
     const std::size_t k = kind_id(kind);
     kind_tags_[k]++;
@@ -343,9 +333,15 @@ class MetricsRegistry {
   [[nodiscard]] const std::vector<InstanceCost>& kind_rows() const {
     return kind_rows_;
   }
-  /// Party-copies tagged per kind id (mirrors Metrics::*_instances).
+  /// Party-copies tagged per kind id. Layered kinds count under every
+  /// tag they carry: a Vss (which is-a Wss) counts under "wss" and "vss".
   [[nodiscard]] const std::vector<std::uint64_t>& kind_tags() const {
     return kind_tags_;
+  }
+  /// kind_tags() of the kind named `kind` (0 when never tagged).
+  [[nodiscard]] std::uint64_t tagged_copies(std::string_view kind) const {
+    const auto it = kind_ids_.find(kind);
+    return it == kind_ids_.end() ? 0 : kind_tags_[it->second];
   }
   [[nodiscard]] const std::vector<MetricsSample>& samples() const {
     return samples_;
@@ -366,8 +362,9 @@ class MetricsRegistry {
   [[nodiscard]] const std::vector<std::uint64_t>& payload_words_hist() const {
     return payload_hist_;
   }
-  /// The compatibility view this registry writes through.
-  [[nodiscard]] const Metrics& totals() const { return *compat_; }
+  /// The run totals (Simulation::metrics()).
+  [[nodiscard]] Metrics& totals() { return totals_; }
+  [[nodiscard]] const Metrics& totals() const { return totals_; }
   /// Total timer (non-delivery) events dispatched.
   [[nodiscard]] std::uint64_t timers_total() const { return timers_total_; }
 
@@ -410,16 +407,16 @@ class MetricsRegistry {
   MetricId instrument(std::string_view name, InstrumentType type);
   void sample_up_to(Time t);
 
-  Metrics* compat_ = nullptr;
+  Metrics totals_;
   std::uint64_t timers_total_ = 0;
 
   std::vector<InstanceCost> instance_rows_;  // [0] = unattributed
   std::vector<std::uint16_t> instance_kind_;
   std::vector<PartyCost> party_rows_;
-  std::vector<std::string> kind_names_;  // [0] = "" (untagged)
+  std::vector<std::string> kind_names_{""};  // kind id 0 = untagged
   std::map<std::string, std::size_t, std::less<>> kind_ids_;
-  std::vector<InstanceCost> kind_rows_;
-  std::vector<std::uint64_t> kind_tags_;
+  std::vector<InstanceCost> kind_rows_{InstanceCost{}};
+  std::vector<std::uint64_t> kind_tags_{0};
 
   std::vector<std::uint64_t> queue_hist_ =
       std::vector<std::uint64_t>(kHistBuckets, 0);
@@ -434,7 +431,7 @@ class MetricsRegistry {
   std::vector<MetricsSample> samples_;
   std::uint64_t dropped_samples_ = 0;
 
-  std::vector<RingEvent> ring_;
+  std::vector<RingEvent> ring_ = std::vector<RingEvent>(kDefaultRing);
   std::size_t ring_next_ = 0;
   std::size_t ring_fill_ = 0;
   std::optional<FlightRecord> flight_;

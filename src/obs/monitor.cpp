@@ -481,24 +481,15 @@ class PrivacyMonitor final : public InvariantMonitor {
   void on_event(const ProtocolEvent& ev) override { (void)ev; }
 
   void at_quiescence(const Simulation& sim) override {
-    const auto ts = static_cast<std::uint64_t>(engine().params().ts);
-    const Metrics& m = sim.metrics();
-    for (const auto& [key, count] : m.honest_polys_by_instance) {
+    const int ts = engine().params().ts;
+    for (const auto& [key, entry] : sim.honest_reveals()) {
       bump_checks();
-      if (count <= ts) continue;
-      PartySet parties;
-      if (const auto it = m.honest_reveal_masks.find(key);
-          it != m.honest_reveal_masks.end()) {
-        parties = PartySet(it->second);
-      }
-      std::string detail = std::to_string(count) +
-                           " honest row polynomials revealed > ts = " +
-                           std::to_string(ts);
-      if (const auto it = m.honest_reveal_dealers.find(key);
-          it != m.honest_reveal_dealers.end()) {
-        detail += " (dealer " + std::to_string(it->second) + ")";
-      }
-      report({{}, "wss", key, parties, sim.now(), detail});
+      if (entry.honest.size() <= ts) continue;
+      report({{}, "wss", key, entry.honest, sim.now(),
+              std::to_string(entry.honest.size()) +
+                  " honest row polynomials revealed > ts = " +
+                  std::to_string(ts) + " (dealer " +
+                  std::to_string(entry.dealer) + ")"});
     }
   }
 };

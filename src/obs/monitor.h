@@ -8,7 +8,7 @@
 // — BC/ACast validity+consistency (Lemma 4.4 / Theorem 4.6), BA/ABA
 // agreement+termination (Theorem 4.8), the unique committed value of WSS/VSS
 // weak/strong commitment (Theorems 6.3 / 7.3), ACS common-subset agreement
-// (Theorem 4.10), and the `honest_polys_revealed <= ts` privacy bound that
+// (Theorem 4.10), and the per-instance honest-reveal bound (<= ts) that
 // Simulation's quiescence assert enforces (here escalated to a reported
 // record with the offending instance key and party set).
 //

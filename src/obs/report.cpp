@@ -25,8 +25,8 @@ std::map<std::string, LatencyStats> latency_by_kind(
   std::map<std::string, std::vector<Time>> latencies;
   std::map<std::string, LatencyStats> stats;
   for (const TraceSpan& s : spans) {
-    // A span counts under every tag it carried so the per-kind counts
-    // mirror the layered Metrics counters (a Vss span is also a Wss span).
+    // A span counts under every tag it carried so the per-kind counts match
+    // MetricsRegistry::kind_tags (a Vss span is also a Wss span).
     std::vector<std::string> kinds = s.kinds;
     if (kinds.empty()) kinds.push_back("other");
     for (const std::string& kind : kinds) {
@@ -55,11 +55,12 @@ void write_run_report(std::ostream& os, const Simulation& sim,
                       RunStatus status, const Tracer* tracer) {
   const Simulation::Config& cfg = sim.config();
   const Metrics& m = sim.metrics();
+  const MetricsRegistry& reg = sim.metrics_registry();
   const Timing& tm = sim.timing();
 
   JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "nampc-run-report/3");
+  w.kv("schema", "nampc-run-report/4");
 
   w.key("config").begin_object();
   w.kv("n", cfg.params.n).kv("ts", cfg.params.ts).kv("ta", cfg.params.ta);
@@ -79,23 +80,21 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   w.key("metrics").begin_object();
   w.kv("messages_sent", m.messages_sent).kv("words_sent", m.words_sent);
   w.kv("events_processed", m.events_processed);
-  w.kv("acast_instances", m.acast_instances);
-  w.kv("bc_instances", m.bc_instances);
-  w.kv("ba_instances", m.ba_instances);
+  // Instance counts are the registry's kind tags; "ba_instances" counts
+  // the Aba instances (the "aba" tag).
+  w.kv("acast_instances", reg.tagged_copies("acast"));
+  w.kv("bc_instances", reg.tagged_copies("bc"));
+  w.kv("ba_instances", reg.tagged_copies("aba"));
   w.kv("aba_rounds", m.aba_rounds);
-  w.kv("wss_instances", m.wss_instances);
+  w.kv("wss_instances", reg.tagged_copies("wss"));
   w.kv("wss_restarts", m.wss_restarts);
-  w.kv("vss_instances", m.vss_instances);
+  w.kv("vss_instances", reg.tagged_copies("vss"));
   w.kv("beaver_mults", m.beaver_mults);
   w.kv("rs_decodes", m.rs_decodes);
-  w.kv("field_mults", m.field_mults);
   w.key("honest_polys_revealed").begin_object();
-  for (const auto& [dealer, count] : m.honest_polys_revealed) {
-    w.kv("P" + std::to_string(dealer), count);
+  for (const auto& [dealer, worst] : sim.worst_honest_reveals()) {
+    w.kv("P" + std::to_string(dealer), worst);
   }
-  w.end_object();
-  w.key("named").begin_object();
-  for (const auto& [name, count] : m.named) w.kv(name, count);
   w.end_object();
   w.end_object();
 
@@ -105,7 +104,6 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   // term for that primitive, so reports connect measured volume back to the
   // claimed bounds (docs/PAPER_MAP.md, "Measured-cost fields").
   {
-    const MetricsRegistry& reg = sim.metrics_registry();
     const std::vector<std::string>& kinds = reg.kind_names();
     w.key("measured_cost").begin_object();
     for (std::size_t k = 0; k < reg.kind_rows().size(); ++k) {

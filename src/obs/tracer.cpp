@@ -38,7 +38,6 @@ void Tracer::close_span(int party, const std::string& key, Time now) {
 
 void Tracer::set_kind(int party, const std::string& key,
                       const std::string& kind) {
-  kind_counts_[kind]++;
   const int index = find_open(party, key);
   if (index >= 0) {
     TraceSpan& span = spans_[static_cast<std::size_t>(index)];

@@ -40,7 +40,7 @@ struct TraceSpan {
   std::string kind;  ///< primitive kind ("bc", "wss", ...); "" if untagged
   /// Every tag applied via set_kind, in order. A derived protocol re-tags
   /// its base's span (Vss over Wss leaves {"wss", "vss"}), so per-kind
-  /// span statistics can mirror the layered Metrics instance counters.
+  /// span statistics match MetricsRegistry::kind_tags.
   std::vector<std::string> kinds;
   Time begin = 0;    ///< spawn (registration) virtual time
   /// The protocol's nominal start time (span_nominal), when it has one:
@@ -104,17 +104,6 @@ class Tracer {
   [[nodiscard]] const std::map<int, std::uint64_t>& scheduled_by_klass() const {
     return scheduled_by_klass_;
   }
-  /// Number of spans ever tagged with `kind` via set_kind. Mirrors the
-  /// Metrics instance counters: a Vss (which is-a Wss) counts under both
-  /// "wss" and "vss", exactly like wss_instances/vss_instances.
-  [[nodiscard]] std::uint64_t kind_count(const std::string& kind) const {
-    const auto it = kind_counts_.find(kind);
-    return it == kind_counts_.end() ? 0 : it->second;
-  }
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& kind_counts()
-      const {
-    return kind_counts_;
-  }
 
   /// Messages/words sent by each span's whole subtree (aligned with
   /// spans()). Children attribute to parents transitively.
@@ -135,7 +124,6 @@ class Tracer {
   std::vector<TraceFlow> flows_;
   std::uint64_t dropped_flows_ = 0;
   std::map<std::pair<int, std::string>, int> open_;  // (party, key) → index
-  std::map<std::string, std::uint64_t> kind_counts_;
   std::map<int, std::uint64_t> scheduled_by_klass_;
 };
 

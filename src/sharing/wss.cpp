@@ -49,7 +49,6 @@ Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
     NAMPC_REQUIRE(options_.z->size() == ts() - ta(),
                   "Z must have exactly ts-ta parties");
   }
-  metrics().wss_instances++;
   span_kind("wss");
   span_nominal(nominal_start_);
   // Budget analysis reads this tag to pick T'_WSS (the Z-conditioned bound,
@@ -974,7 +973,7 @@ void Wss::note_revealed(int member) {
   // instance copy records it (instance keys are identical across parties),
   // and only when that party is honest — corrupt rows are free information.
   if (member == my_id() && !party().corrupt()) {
-    metrics().note_honest_reveal(key(), dealer_, member);
+    sim().note_honest_reveal(key(), dealer_, member);
   }
 }
 

@@ -121,6 +121,36 @@ TEST(Matching, EmptyGraph) {
   EXPECT_TRUE(maximum_matching(g).empty());
 }
 
+/// Adds a random perfect matching over {0..n-1} (one vertex left out when n
+/// is odd) to g, so g's maximum matching has exactly n/2 edges.
+void plant_matching(Graph& g, Rng& rng) {
+  std::vector<int> order;
+  for (int v = 0; v < g.size(); ++v) order.push_back(v);
+  for (std::size_t i = order.size(); i-- > 1;) {
+    std::swap(order[i], order[rng.next_below(i + 1)]);
+  }
+  for (std::size_t i = 0; i + 1 < order.size(); i += 2) {
+    g.add_edge(order[i], order[i + 1]);
+  }
+}
+
+// Sizes on both sides of n = 24, sparse graphs and dense complements (the
+// shape the Star algorithm matches in): one algorithm serves every n.
+TEST(Matching, PlantedPerfectMatchingAcrossSizes) {
+  Rng rng(47);
+  for (const int n : {16, 24, 25}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const Graph sparse = random_graph(n, 0.1, rng);
+      for (Graph g : {sparse, sparse.complement()}) {
+        plant_matching(g, rng);
+        const auto m = maximum_matching(g);
+        EXPECT_TRUE(is_valid_matching(g, m)) << "n=" << n;
+        EXPECT_EQ(m.size(), static_cast<std::size_t>(n / 2)) << "n=" << n;
+      }
+    }
+  }
+}
+
 TEST(Clique, FindsPlantedMaximumClique) {
   Rng rng(43);
   for (int trial = 0; trial < 20; ++trial) {

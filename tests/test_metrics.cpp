@@ -123,9 +123,9 @@ TEST(MetricsRegistry, AttributionSumsToRunTotals) {
   }
 }
 
-// Satellite 1: the Metrics struct is a compatibility view over the
-// registry's accounting path — same object, and the registry's kind tags
-// mirror the layered per-kind instance counters the struct still carries.
+// The run totals are owned by the registry — Simulation::metrics() is the
+// same object — and the registry's kind tags are the per-kind instance
+// counts: one WSS instance per party, looked up by name or by kind id.
 TEST(MetricsRegistry, CompatViewIsTheSameAccountingPath) {
   const WssRun r = run_wss(p7_2_1(), NetworkKind::synchronous, 3, 0);
   ASSERT_EQ(r.status, RunStatus::quiescent);
@@ -137,7 +137,9 @@ TEST(MetricsRegistry, CompatViewIsTheSameAccountingPath) {
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     if (kinds[k] == "wss") wss_tags = reg.kind_tags()[k];
   }
-  EXPECT_EQ(wss_tags, r.sim->metrics().wss_instances);
+  EXPECT_EQ(wss_tags, reg.tagged_copies("wss"));
+  EXPECT_EQ(wss_tags, static_cast<std::uint64_t>(p7_2_1().n));
+  EXPECT_EQ(reg.tagged_copies("no-such-kind"), 0u);
 }
 
 // The committed-dump determinism contract: the JSONL bytes depend only on
@@ -278,9 +280,7 @@ TEST(MetricsRegistry, NamedInstruments) {
   EXPECT_EQ(MetricsRegistry::bucket_of(4), 3u);
   EXPECT_EQ(MetricsRegistry::bucket_of(1024), 11u);
 
-  Metrics compat;
-  MetricsRegistry reg;
-  reg.bind(&compat, 4);
+  MetricsRegistry reg(4);
   const auto c = reg.counter("rs_decode_calls");
   EXPECT_EQ(reg.counter("rs_decode_calls"), c);  // same name, same id
   reg.add(c);

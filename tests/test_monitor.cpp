@@ -315,7 +315,7 @@ TEST(MonitorViolation, WssEquivocatingDealerFlagged) {
   EXPECT_TRUE(fired(*ms.monitors, "sharing")) << describe(*ms.monitors);
 }
 
-// Privacy: an over-ts reveal recorded in Metrics surfaces as a reported
+// Privacy: an over-ts reveal recorded in the ledger surfaces as a reported
 // violation (with the revealed-party set) instead of only the quiescence
 // assert. privacy_audit stays on in the companion test to show the assert
 // still fires after the monitor has recorded the violation.
@@ -325,8 +325,8 @@ TEST(MonitorViolation, PrivacyRevealBeyondTsFlagged) {
   spec.params = p4_1_0();  // ts = 1
   spec.privacy_audit = false;
   MonitoredSim ms = make_monitored_sim(spec);
-  ms->metrics().note_honest_reveal("wss", 3, 0);
-  ms->metrics().note_honest_reveal("wss", 3, 1);
+  ms->note_honest_reveal("wss", 3, 0);
+  ms->note_honest_reveal("wss", 3, 1);
   ASSERT_EQ(ms->run(), RunStatus::quiescent);
   EXPECT_FALSE(ms.monitors->ok());
   ASSERT_TRUE(fired(*ms.monitors, "privacy")) << describe(*ms.monitors);
@@ -337,12 +337,30 @@ TEST(MonitorViolation, PrivacyRevealBeyondTsFlagged) {
   }
 }
 
+// Party ids past one machine word (n goes up to 128) are named in full.
+TEST(MonitorViolation, PrivacyRevealNamesPartiesBeyond64) {
+  SimSpec spec;
+  spec.params = {70, 2, 0};  // ts = 2
+  spec.privacy_audit = false;
+  MonitoredSim ms = make_monitored_sim(spec);
+  for (const int member : {5, 65, 66}) {
+    ms->note_honest_reveal("wss", 3, member);
+  }
+  ASSERT_EQ(ms->run(), RunStatus::quiescent);
+  ASSERT_TRUE(fired(*ms.monitors, "privacy")) << describe(*ms.monitors);
+  for (const obs::Violation& v : ms.monitors->violations()) {
+    if (v.monitor != "privacy") continue;
+    EXPECT_EQ(v.key, "wss");
+    EXPECT_EQ(v.parties, PartySet::of({5, 65, 66}));
+  }
+}
+
 TEST(MonitorViolation, PrivacyAuditAbortsAfterRecording) {
   SimSpec spec;
   spec.params = p4_1_0();
   MonitoredSim ms = make_monitored_sim(spec);
-  ms->metrics().note_honest_reveal("wss", 3, 0);
-  ms->metrics().note_honest_reveal("wss", 3, 1);
+  ms->note_honest_reveal("wss", 3, 0);
+  ms->note_honest_reveal("wss", 3, 1);
   EXPECT_THROW(ms->run(), InvariantError);
   // Monitors run before the audit assert, so the violation is on record.
   EXPECT_TRUE(fired(*ms.monitors, "privacy"));

@@ -1,4 +1,4 @@
-// Observability layer tests: tracer spans vs Metrics, Chrome-trace and
+// Observability layer tests: tracer spans vs registry kind tags, Chrome-trace and
 // run-report JSON validity, same-seed determinism, structured-log sinks,
 // ring-buffer forensics and the quiescence privacy audit.
 #include <gtest/gtest.h>
@@ -192,6 +192,15 @@ struct LogStateGuard {
   }
 };
 
+/// Spans tagged with `kind` (a Vss span counts under "wss" and "vss").
+std::uint64_t spans_tagged(const obs::Tracer& tracer, const std::string& kind) {
+  std::uint64_t count = 0;
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    for (const std::string& k : span.kinds) count += k == kind ? 1 : 0;
+  }
+  return count;
+}
+
 // Full MPC run with a tracer attached; shared by several tests.
 struct TracedRun {
   Circuit circuit;
@@ -232,14 +241,14 @@ struct TracedRun {
 TEST(Obs, TraceSpanKindsMatchMetricsCounters) {
   TracedRun run(/*seed=*/21);
   ASSERT_EQ(run.status, RunStatus::quiescent);
-  const Metrics& m = run.sim->metrics();
-  EXPECT_GT(m.bc_instances, 0u);
-  EXPECT_GT(m.wss_instances, 0u);
-  EXPECT_GT(m.vss_instances, 0u);
-  EXPECT_EQ(run.tracer.kind_count("bc"), m.bc_instances);
-  EXPECT_EQ(run.tracer.kind_count("wss"), m.wss_instances);
-  EXPECT_EQ(run.tracer.kind_count("vss"), m.vss_instances);
-  EXPECT_EQ(run.tracer.kind_count("mpc"), 4u);
+  const obs::MetricsRegistry& reg = run.sim->metrics_registry();
+  EXPECT_GT(reg.tagged_copies("bc"), 0u);
+  EXPECT_GT(reg.tagged_copies("wss"), 0u);
+  EXPECT_GT(reg.tagged_copies("vss"), 0u);
+  EXPECT_EQ(spans_tagged(run.tracer, "bc"), reg.tagged_copies("bc"));
+  EXPECT_EQ(spans_tagged(run.tracer, "wss"), reg.tagged_copies("wss"));
+  EXPECT_EQ(spans_tagged(run.tracer, "vss"), reg.tagged_copies("vss"));
+  EXPECT_EQ(spans_tagged(run.tracer, "mpc"), 4u);
 }
 
 TEST(Obs, ChromeTraceParsesAndCoversAllParties) {
@@ -272,7 +281,7 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   JsonValue report;
   ASSERT_TRUE(parse_json(run.report_json, report))
       << run.report_json.substr(0, 200);
-  EXPECT_EQ(report.at("schema").str, "nampc-run-report/3");
+  EXPECT_EQ(report.at("schema").str, "nampc-run-report/4");
   EXPECT_EQ(report.at("status").str, "quiescent");
   EXPECT_EQ(report.at("config").at("n").as_int(), 4);
   EXPECT_EQ(report.at("config").at("seed").as_int(), 23);
@@ -284,17 +293,21 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   EXPECT_EQ(metrics.at("events_processed").as_int(),
             static_cast<std::int64_t>(m.events_processed));
 
-  // Acceptance check: per-primitive span counts equal the Metrics counters.
+  // Acceptance check: per-primitive span counts and the report's instance
+  // counts both equal the registry's kind tags.
+  const obs::MetricsRegistry& reg = run.sim->metrics_registry();
   const auto& prim = report.at("primitives");
   ASSERT_TRUE(prim.has("bc"));
   ASSERT_TRUE(prim.has("wss"));
   ASSERT_TRUE(prim.has("vss"));
-  EXPECT_EQ(prim.at("bc").at("count").as_int(),
-            static_cast<std::int64_t>(m.bc_instances));
-  EXPECT_EQ(prim.at("wss").at("count").as_int(),
-            static_cast<std::int64_t>(m.wss_instances));
-  EXPECT_EQ(prim.at("vss").at("count").as_int(),
-            static_cast<std::int64_t>(m.vss_instances));
+  for (const char* kind : {"bc", "wss", "vss"}) {
+    EXPECT_EQ(prim.at(kind).at("count").as_int(),
+              static_cast<std::int64_t>(reg.tagged_copies(kind)))
+        << kind;
+    EXPECT_EQ(metrics.at(std::string(kind) + "_instances").as_int(),
+              static_cast<std::int64_t>(reg.tagged_copies(kind)))
+        << kind;
+  }
   // Completed primitives report latency percentiles in virtual time.
   EXPECT_GE(prim.at("bc").at("latency").at("p50").num, 0.0);
 }
@@ -375,12 +388,13 @@ TEST(Obs, AssertionFailureDumpsRing) {
 
 TEST(Obs, PrivacyAuditFailsLoudlyAtQuiescence) {
   auto sim = make_sim({.params = {4, 1, 0}});
-  sim->metrics().honest_polys_revealed[0] = 2;  // ts = 1: bound violated
+  sim->note_honest_reveal("wss", /*dealer=*/0, /*member=*/1);
+  sim->note_honest_reveal("wss", /*dealer=*/0, /*member=*/2);  // ts = 1
   EXPECT_THROW((void)sim->run(), InvariantError);
 
   // An in-bound count passes.
   auto ok = make_sim({.params = {4, 1, 0}});
-  ok->metrics().honest_polys_revealed[0] = 1;
+  ok->note_honest_reveal("wss", /*dealer=*/0, /*member=*/1);
   EXPECT_EQ(ok->run(), RunStatus::quiescent);
 }
 
@@ -389,8 +403,11 @@ TEST(Obs, PrivacyAuditHoldsOnRealRuns) {
   // this test additionally checks the recorded per-dealer maxima directly.
   TracedRun run(/*seed=*/25);
   ASSERT_EQ(run.status, RunStatus::quiescent);
-  for (const auto& [dealer, worst] : run.sim->metrics().honest_polys_revealed) {
+  for (const auto& [dealer, worst] : run.sim->worst_honest_reveals()) {
     EXPECT_LE(worst, 1u) << "dealer " << dealer;  // ts = 1 in TracedRun
+  }
+  for (const auto& [key, entry] : run.sim->honest_reveals()) {
+    EXPECT_LE(entry.honest.size(), 1) << key;
   }
 }
 
