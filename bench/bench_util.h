@@ -1,10 +1,13 @@
-// Small table-printing helpers shared by the experiment regenerators, plus
-// the monitor plumbing that attaches the invariant-monitor catalogue to
-// every benchmark simulation (schema "nampc-bench/2" reports carry the
-// aggregate monitor verdict).
+// Shared pieces of the nampc_bench tables: the text/JSON table, the
+// RunContext each table fills, the monitor plumbing that attaches the
+// invariant-monitor catalogue to every benchmark simulation (schema
+// "nampc-bench/2" reports carry the aggregate monitor verdict), and the
+// parameter ladder and wall-clock helpers of the scaling and transport
+// tables.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -96,7 +99,7 @@ inline void banner(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n\n";
 }
 
-/// Aggregate monitor verdict across every simulation a regenerator ran.
+/// Aggregate monitor verdict across every simulation a table ran.
 /// Atomic because grid cells fan out through the sweep engine's worker
 /// threads; each MonitoredRun folds its counts in on destruction.
 struct MonitorTally {
@@ -189,6 +192,8 @@ class BenchReport {
     sections_.emplace_back(title, table);
   }
 
+  [[nodiscard]] bool empty() const { return sections_.empty(); }
+
   void set_monitors(const MonitorTally& tally) {
     monitor_events_ = tally.events.load();
     monitor_violations_ = tally.violations.load();
@@ -241,5 +246,61 @@ class BenchReport {
   std::uint64_t monitor_events_ = 0;
   std::uint64_t monitor_violations_ = 0;
 };
+
+/// What the nampc_bench driver hands each table: the report it fills, the
+/// tally its monitored simulations fold into, and the sweep job count. The
+/// driver saves the report afterwards, if the table added any section.
+struct RunContext {
+  RunContext(std::string name, int jobs_)
+      : report(std::move(name)), jobs(jobs_) {}
+
+  /// Banner, text table and report section in one step.
+  void section(const std::string& title, const Table& table) {
+    banner(title);
+    table.print();
+    report.add(title, table);
+  }
+
+  BenchReport report;
+  MonitorTally monitors;
+  int jobs;
+};
+
+/// The nampc_bench tables (DESIGN.md experiment index), one function per
+/// table file, each named after its report. The return value is the exit
+/// code: non-zero means a broken bound or a failed gate.
+int table_rs_schedule(RunContext& ctx);
+int table_feasibility(RunContext& ctx);
+int table_lowerbound(RunContext& ctx);
+int table_primitives(RunContext& ctx);
+int table_wss(RunContext& ctx);
+int table_vss(RunContext& ctx);
+int table_vts(RunContext& ctx);
+int table_mpc_e2e(RunContext& ctx);
+int table_ablation(RunContext& ctx);
+int table_scaling(RunContext& ctx);
+int table_transport(RunContext& ctx);
+/// The CI smoke gates: pass/fail only, no report sections.
+int scaling_smoke(RunContext& ctx);
+int transport_smoke(RunContext& ctx);
+
+/// Widest feasible (ts, ta) ladder with ta ~ ts/2: ts = (n-1)/3 keeps
+/// n > 2ts + max(2ta, ts) = 3ts tight (n=64 -> (21,10), n=128 -> (42,21)).
+inline ProtocolParams params_for(int n) {
+  const int ts = (n - 1) / 3;
+  return ProtocolParams{n, ts, ts / 2};
+}
+
+inline double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+inline std::string fixed2(double v) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(2) << v;
+  return os.str();
+}
 
 }  // namespace nampc::bench

@@ -55,12 +55,8 @@ std::string validate_row(int ts, int ta, int x) {
   return "ok";
 }
 
-void print_schedule(bench::BenchReport& report, int ts, int ta,
+void print_schedule(bench::RunContext& ctx, int ts, int ta,
                     const std::vector<std::string>& empirical) {
-  const std::string title =
-      "Table 1 — simultaneous error correction and detection (ts=" +
-      std::to_string(ts) + ", ta=" + std::to_string(ta) + ")";
-  bench::banner(title);
   bench::Table t({"points received", "correct", "detect", "outcome (sync)",
                   "outcome (async)", "empirical"});
   for (int x = 0; x <= ts; ++x) {
@@ -75,19 +71,19 @@ void print_schedule(bench::BenchReport& report, int ts, int ta,
     std::string async_outcome = x < ta ? "Success/Wait"
                                        : (x == ta ? "Success" : "-");
     std::string label = "ts+ta+1";
-    if (x > 0) label += "+" + std::to_string(x);
+    if (x > 0) label.append("+").append(std::to_string(x));
     label += " (=" + std::to_string(m) + ")";
     t.row(label, correct, detect, sync_outcome, async_outcome,
           empirical[static_cast<std::size_t>(x)]);
   }
-  t.print();
-  report.add(title, t);
+  ctx.section("Table 1 — simultaneous error correction and detection (ts=" +
+                  std::to_string(ts) + ", ta=" + std::to_string(ta) + ")",
+              t);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_rs_schedule(RunContext& ctx) {
   std::cout << "E1: Table 1 of [Patil-Patra PODC'25] — decode schedule of "
                "Corollaries 3.3/3.4,\nvalidated against the Berlekamp-Welch "
                "implementation (20 random codewords per cell).\n";
@@ -99,7 +95,7 @@ int main(int argc, char** argv) {
 
   // One validation job per (ts, ta, x) cell; results come back in
   // submission order, i.e. grouped by schedule with x ascending.
-  Sweep<std::string> sweep(jobs);
+  Sweep<std::string> sweep(ctx.jobs);
   for (const auto& [ts, ta] : schedules) {
     for (int x = 0; x <= ts; ++x) {
       sweep.add([ts = ts, ta = ta, x] { return validate_row(ts, ta, x); });
@@ -107,15 +103,13 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> cells = sweep.run();
 
-  bench::BenchReport report("rs_schedule");
   std::size_t next = 0;
   for (const auto& [ts, ta] : schedules) {
     std::vector<std::string> empirical(
         cells.begin() + static_cast<std::ptrdiff_t>(next),
         cells.begin() + static_cast<std::ptrdiff_t>(next + ts + 1));
     next += static_cast<std::size_t>(ts) + 1;
-    print_schedule(report, ts, ta, empirical);
+    print_schedule(ctx, ts, ta, empirical);
   }
-  report.save();
   return 0;
 }

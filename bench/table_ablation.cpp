@@ -24,9 +24,6 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
 struct Stats {
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
@@ -34,8 +31,8 @@ struct Stats {
   bool ok = true;
 };
 
-Stats run_wss(ProtocolParams p, int num_secrets, int instances, bool ideal,
-              Time delta) {
+Stats run_wss(bench::MonitorTally& tally, ProtocolParams p, int num_secrets,
+              int instances, bool ideal, Time delta) {
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = NetworkKind::synchronous;
@@ -43,7 +40,7 @@ Stats run_wss(ProtocolParams p, int num_secrets, int instances, bool ideal,
   cfg.delta = delta;
   cfg.ideal_primitives = ideal;
   Simulation sim(cfg, std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   Rng rng(9);
   std::vector<std::vector<Wss*>> all(static_cast<std::size_t>(instances));
   for (int inst = 0; inst < instances; ++inst) {
@@ -51,7 +48,8 @@ Stats run_wss(ProtocolParams p, int num_secrets, int instances, bool ideal,
     opts.num_secrets = num_secrets;
     for (int i = 0; i < p.n; ++i) {
       all[static_cast<std::size_t>(inst)].push_back(&sim.party(i).spawn<Wss>(
-          "w" + std::to_string(inst), 0, 0, opts, nullptr));
+          std::string("w").append(std::to_string(inst)), 0, 0, opts,
+          nullptr));
     }
     std::vector<Polynomial> qs;
     for (int k = 0; k < num_secrets; ++k) {
@@ -80,14 +78,14 @@ struct CoinRun {
   std::uint64_t rounds = 0;  ///< per-party average for this run
 };
 
-CoinRun run_coin(bool local, std::uint64_t seed) {
+CoinRun run_coin(bench::MonitorTally& tally, bool local, std::uint64_t seed) {
   Simulation::Config cfg;
   cfg.params = {7, 2, 1};
   cfg.kind = NetworkKind::asynchronous;
   cfg.seed = seed;
   cfg.local_coins = local;
   Simulation sim(cfg, std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Ba*> inst;
   for (int i = 0; i < 7; ++i) {
     inst.push_back(&sim.party(i).spawn<Ba>("ba", 0, nullptr));
@@ -115,9 +113,8 @@ CoinRun run_coin(bool local, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
-  bench::BenchReport report("ablation");
+int bench::table_ablation(RunContext& ctx) {
+  bench::MonitorTally& m = ctx.monitors;
   const ProtocolParams p{7, 2, 1};
   const std::vector<int> ls = {1, 2, 4, 8, 16};
   const std::vector<ProtocolParams> a2_params = {
@@ -127,25 +124,21 @@ int main(int argc, char** argv) {
 
   // A1 (batched + separate per L), A2 (full + ideal per params) and A3
   // (per Δ) are all run_wss cells — one sweep covers them.
-  Sweep<Stats> wss_sweep(jobs);
+  Sweep<Stats> wss_sweep(ctx.jobs);
   for (int l : ls) {
-    wss_sweep.add([p, l] { return run_wss(p, l, 1, false, 10); });
-    wss_sweep.add([p, l] { return run_wss(p, 1, l, false, 10); });
+    wss_sweep.add([&m, p, l] { return run_wss(m, p, l, 1, false, 10); });
+    wss_sweep.add([&m, p, l] { return run_wss(m, p, 1, l, false, 10); });
   }
   for (ProtocolParams q : a2_params) {
-    wss_sweep.add([q] { return run_wss(q, 1, 1, false, 10); });
-    wss_sweep.add([q] { return run_wss(q, 1, 1, true, 10); });
+    wss_sweep.add([&m, q] { return run_wss(m, q, 1, 1, false, 10); });
+    wss_sweep.add([&m, q] { return run_wss(m, q, 1, 1, true, 10); });
   }
   for (Time d : deltas) {
-    wss_sweep.add([p, d] { return run_wss(p, 1, 1, false, d); });
+    wss_sweep.add([&m, p, d] { return run_wss(m, p, 1, 1, false, d); });
   }
   const std::vector<Stats> wss = wss_sweep.run();
   std::size_t idx = 0;
 
-  const std::string t1 =
-      "A1 — batching: L secrets in one Π_WSS vs L instances "
-      "(n=7, ts=2, ta=1, full primitives, sync)";
-  bench::banner(t1);
   bench::Table a1({"L", "batched msgs", "batched words", "separate msgs",
                    "separate words", "msg amplification"});
   for (int l : ls) {
@@ -156,14 +149,12 @@ int main(int argc, char** argv) {
            static_cast<double>(separate.messages) /
                static_cast<double>(batched.messages));
   }
-  a1.print();
-  report.add(t1, a1);
+  ctx.section("A1 — batching: L secrets in one Π_WSS vs L instances "
+              "(n=7, ts=2, ta=1, full primitives, sync)",
+              a1);
   std::cout << "(batched payload grows with L; the broadcast/agreement "
                "machinery — the dominant message cost — is paid once)\n";
 
-  const std::string t2 =
-      "A2 — primitive mode: Full SBA/ABA vs Ideal gadgets (one Π_WSS, sync)";
-  bench::banner(t2);
   bench::Table a2({"n", "ts", "ta", "full msgs", "ideal msgs", "ratio",
                    "full latest t", "ideal latest t"});
   for (ProtocolParams q : a2_params) {
@@ -174,37 +165,32 @@ int main(int argc, char** argv) {
                static_cast<double>(ideal.messages),
            full.latest, ideal.latest);
   }
-  a2.print();
-  report.add(t2, a2);
+  ctx.section(
+      "A2 — primitive mode: Full SBA/ABA vs Ideal gadgets (one Π_WSS, sync)",
+      a2);
 
-  const std::string t3 =
-      "A3 — Δ-scaling: completion time linear in Δ, messages invariant "
-      "(one Π_WSS, n=7)";
-  bench::banner(t3);
   bench::Table a3({"delta", "latest t", "t / delta", "messages"});
   for (Time d : deltas) {
     const Stats s = wss[idx++];
     a3.row(d, s.latest, static_cast<double>(s.latest) / static_cast<double>(d),
            s.messages);
   }
-  a3.print();
-  report.add(t3, a3);
+  ctx.section(
+      "A3 — Δ-scaling: completion time linear in Δ, messages invariant "
+      "(one Π_WSS, n=7)",
+      a3);
   std::cout << "(t/delta constant and messages constant => the protocol's "
                "round structure is delay-independent, as the formulas "
                "require)\n";
 
-  const std::string t4 =
-      "A4 — ABA coin source (substitution #2): ideal common coin vs Ben-Or "
-      "local coins (async, mixed inputs, 40 seeds)";
-  bench::banner(t4);
   bench::Table a4({"coin", "runs", "all terminated", "agreement", "avg rounds",
                    "max rounds"});
   const int runs = 40;
-  Sweep<CoinRun> coin_sweep(jobs);
+  Sweep<CoinRun> coin_sweep(ctx.jobs);
   for (bool local : {false, true}) {
     for (int s = 0; s < runs; ++s) {
-      coin_sweep.add([local, s] {
-        return run_coin(local, 4000 + static_cast<std::uint64_t>(s));
+      coin_sweep.add([&m, local, s] {
+        return run_coin(m, local, 4000 + static_cast<std::uint64_t>(s));
       });
     }
   }
@@ -230,12 +216,12 @@ int main(int argc, char** argv) {
            agreed == runs ? "yes" : std::to_string(agreed),
            static_cast<double>(total_rounds) / runs, max_rounds);
   }
-  a4.print();
-  report.add(t4, a4);
+  ctx.section(
+      "A4 — ABA coin source (substitution #2): ideal common coin vs Ben-Or "
+      "local coins (async, mixed inputs, 40 seeds)",
+      a4);
   std::cout << "(local coins: almost-surely terminating — more rounds, same "
                "agreement; the ideal coin models the coin-tossing "
                "subprotocols of [24, 6])\n";
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

@@ -58,14 +58,9 @@ std::vector<BoundaryRow> boundary_rows(int ts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_feasibility(RunContext& ctx) {
   std::cout << "E2/E9: feasibility frontier of Theorem 1.1 vs prior work.\n";
-  bench::BenchReport report("feasibility");
 
-  const std::string t1 =
-      "Minimal n per (ts, ta): this paper vs n > 3ts + ta [ACC'22]";
-  bench::banner(t1);
   bench::Table t({"ts", "ta", "regime", "min n (paper)", "min n (prior)",
                   "parties saved"});
   for (int ts = 1; ts <= 8; ++ts) {
@@ -75,11 +70,9 @@ int main(int argc, char** argv) {
             min_parties_prior(ts, ta) - min_parties(ts, ta));
     }
   }
-  t.print();
-  report.add(t1, t);
+  ctx.section("Minimal n per (ts, ta): this paper vs n > 3ts + ta [ACC'22]",
+              t);
 
-  const std::string t2 = "Resilience frontier: max ts tolerable at fixed n";
-  bench::banner(t2);
   bench::Table f({"n", "ta=0", "ta=1", "ta=2", "ta=3"});
   for (int n = 4; n <= 21; ++n) {
     auto cell = [n](int ta) {
@@ -88,14 +81,11 @@ int main(int argc, char** argv) {
     };
     f.row(n, cell(0), cell(1), cell(2), cell(3));
   }
-  f.print();
-  report.add(t2, f);
+  ctx.section("Resilience frontier: max ts tolerable at fixed n", f);
 
-  const std::string t3 =
-      "Boundary exactness check (n = min is feasible, n-1 is not)";
-  bench::banner(t3);
   const std::vector<std::vector<BoundaryRow>> checked = sweep_run(
-      jobs, 10, [](std::size_t i) { return boundary_rows(static_cast<int>(i) + 1); });
+      ctx.jobs, 10,
+      [](std::size_t i) { return boundary_rows(static_cast<int>(i) + 1); });
   bench::Table b({"ts", "ta", "n = min", "feasible(n)", "feasible(n-1)"});
   bool all_exact = true;
   for (const auto& rows : checked) {
@@ -108,11 +98,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  b.print();
-  report.add(t3, b);
-  report.note("all_boundaries_exact", all_exact ? "yes" : "no");
+  ctx.section("Boundary exactness check (n = min is feasible, n-1 is not)",
+              b);
+  ctx.report.note("all_boundaries_exact", all_exact ? "yes" : "no");
   std::cout << (all_exact ? "\nall boundaries exact.\n"
                           : "\nBOUNDARY VIOLATION FOUND\n");
-  report.save();
   return all_exact ? 0 : 1;
 }

@@ -28,8 +28,7 @@ const char* rule_name(TieBreak r) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_lowerbound(RunContext& ctx) {
   std::cout << "E3: Theorem 5.1 partition attack at n = 2ts + 2ta = 4 "
                "(ts = ta = 1).\n";
   std::cout << "feasible(4,1,1) = " << (feasible(4, 1, 1) ? "yes" : "no")
@@ -38,16 +37,13 @@ int main(int argc, char** argv) {
 
   // One witness search per tie-break rule, in declaration order (the same
   // order find_violations() uses serially).
-  Sweep<AttackOutcome> sweep(jobs);
+  Sweep<AttackOutcome> sweep(ctx.jobs);
   for (TieBreak rule : {TieBreak::trust_p3, TieBreak::trust_p4,
                         TieBreak::assume_zero, TieBreak::assume_one}) {
     sweep.add([rule] { return find_violation(rule); });
   }
   const std::vector<AttackOutcome> witnesses = sweep.run();
 
-  bench::BenchReport report("lowerbound");
-  const std::string t1 = "One violation witness per candidate tie-break rule";
-  bench::banner(t1);
   bench::Table t({"tie-break rule", "x1", "x2", "corrupt relay",
                   "fabricated x1", "P1 output", "P2 output", "verdict"});
   bool all_broken = true;
@@ -55,15 +51,13 @@ int main(int argc, char** argv) {
     const bool broken = !w.correct();
     all_broken = all_broken && broken;
     t.row(rule_name(w.rule), w.x1 ? 1 : 0, w.x2 ? 1 : 0,
-          "P" + std::to_string(w.corrupt_relay + 1),
+          std::string("P").append(std::to_string(w.corrupt_relay + 1)),
           w.lie_to_p2 ? 1 : 0, w.p1_output ? 1 : 0, w.p2_output ? 1 : 0,
           broken ? (w.agree() ? "wrong output" : "DISAGREEMENT")
                  : "survived (?)");
   }
-  t.print();
-  report.add(t1, t);
-  report.note("all_rules_broken", all_broken ? "yes" : "no");
-  report.save();
+  ctx.section("One violation witness per candidate tie-break rule", t);
+  ctx.report.note("all_rules_broken", all_broken ? "yes" : "no");
   std::cout << (all_broken
                     ? "\nevery rule broken: no protocol exists at n = 2ts+2ta, "
                       "matching Theorem 5.1.\n"

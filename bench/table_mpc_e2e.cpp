@@ -15,9 +15,6 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
 Circuit make_circuit(int n, int mults) {
   // Chain of multiplications over the input sum: depth grows with size.
   Circuit c;
@@ -41,8 +38,9 @@ struct Result {
   std::uint64_t events = 0;
 };
 
-Result run(ProtocolParams p, NetworkKind kind, int mults,
-           const std::string& attack, bool ideal, std::uint64_t seed) {
+Result run(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind,
+           int mults, const std::string& attack, bool ideal,
+           std::uint64_t seed) {
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = kind;
@@ -61,7 +59,7 @@ Result run(ProtocolParams p, NetworkKind kind, int mults,
   }
 
   Simulation sim(cfg, adv);
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::map<int, FpVec> inputs;
   std::vector<Mpc*> nodes;
   for (int i = 0; i < p.n; ++i) {
@@ -90,14 +88,12 @@ Result run(ProtocolParams p, NetworkKind kind, int mults,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_mpc_e2e(RunContext& ctx) {
   std::cout << "E8: end-to-end MPC (Section 10). Correctness vs plaintext "
                "evaluation; virtual latency; message/word complexity.\n"
             << "(k = C(n, ts-ta) candidate Z-subsets all run in parallel — "
                "the dominant cost, exactly as the paper's construction "
                "prescribes.)\n";
-  bench::BenchReport report("mpc_e2e");
   struct Cfg {
     ProtocolParams p;
     bool ideal;
@@ -129,12 +125,13 @@ int main(int argc, char** argv) {
     return cells;
   };
 
-  Sweep<Result> sweep(jobs);
+  Sweep<Result> sweep(ctx.jobs);
   for (const Cfg& c : cfgs) {
     for (NetworkKind kind : kinds) {
       for (const Cell& cell : cells_for(c)) {
-        sweep.add([c, kind, cell] {
-          return run(c.p, kind, cell.mults, cell.attack, c.ideal, 55);
+        sweep.add([&ctx, c, kind, cell] {
+          return run(ctx.monitors, c.p, kind, cell.mults, cell.attack,
+                     c.ideal, 55);
         });
       }
     }
@@ -146,7 +143,6 @@ int main(int argc, char** argv) {
     const std::string title =
         "n=" + std::to_string(c.p.n) + " ts=" + std::to_string(c.p.ts) +
         " ta=" + std::to_string(c.p.ta) + "  (" + c.note + ")";
-    bench::banner(title);
     bench::Table t({"network", "mults", "adversary", "correct", "latest t",
                     "messages", "payload words", "events"});
     for (NetworkKind kind : kinds) {
@@ -158,10 +154,7 @@ int main(int argc, char** argv) {
               r.events);
       }
     }
-    t.print();
-    report.add(title, t);
+    ctx.section(title, t);
   }
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

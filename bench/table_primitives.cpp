@@ -17,9 +17,6 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
 Simulation::Config config(ProtocolParams p, NetworkKind kind,
                           std::uint64_t seed) {
   Simulation::Config cfg;
@@ -36,9 +33,9 @@ struct Row {
   std::uint64_t messages = 0;
 };
 
-Row run_acast(ProtocolParams p, NetworkKind kind) {
+Row run_acast(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind) {
   Simulation sim(config(p, kind, 11), std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Acast*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Acast>("a", 0, nullptr));
@@ -55,9 +52,9 @@ Row run_acast(ProtocolParams p, NetworkKind kind) {
   return r;
 }
 
-Row run_bc(ProtocolParams p, NetworkKind kind) {
+Row run_bc(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind) {
   Simulation sim(config(p, kind, 12), std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Bc*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Bc>("b", 0, 0, nullptr));
@@ -75,9 +72,10 @@ Row run_bc(ProtocolParams p, NetworkKind kind) {
   return r;
 }
 
-Row run_ba(ProtocolParams p, NetworkKind kind, bool mixed) {
+Row run_ba(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind,
+           bool mixed) {
   Simulation sim(config(p, kind, 13), std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Ba*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Ba>("ba", 0, nullptr));
@@ -101,9 +99,9 @@ Row run_ba(ProtocolParams p, NetworkKind kind, bool mixed) {
   return r;
 }
 
-Row run_acs(ProtocolParams p, NetworkKind kind) {
+Row run_acs(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind) {
   Simulation sim(config(p, kind, 14), std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Acs*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Acs>("acs", 0, nullptr));
@@ -129,11 +127,9 @@ Row run_acs(ProtocolParams p, NetworkKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_primitives(RunContext& ctx) {
   std::cout << "E7: primitive matrix (Full mode, honest runs), latency vs "
                "the T_* formulas.\n";
-  bench::BenchReport report("primitives");
   const std::vector<ProtocolParams> params = {
       ProtocolParams{4, 1, 0}, ProtocolParams{7, 2, 1},
       ProtocolParams{10, 3, 1}};
@@ -141,14 +137,15 @@ int main(int argc, char** argv) {
                                           NetworkKind::asynchronous};
 
   // Five primitive runs per (params, network) cell, in table order.
-  Sweep<Row> sweep(jobs);
+  Sweep<Row> sweep(ctx.jobs);
+  bench::MonitorTally& m = ctx.monitors;
   for (ProtocolParams p : params) {
     for (NetworkKind kind : kinds) {
-      sweep.add([p, kind] { return run_acast(p, kind); });
-      sweep.add([p, kind] { return run_bc(p, kind); });
-      sweep.add([p, kind] { return run_ba(p, kind, /*mixed=*/false); });
-      sweep.add([p, kind] { return run_ba(p, kind, /*mixed=*/true); });
-      sweep.add([p, kind] { return run_acs(p, kind); });
+      sweep.add([&m, p, kind] { return run_acast(m, p, kind); });
+      sweep.add([&m, p, kind] { return run_bc(m, p, kind); });
+      sweep.add([&m, p, kind] { return run_ba(m, p, kind, /*mixed=*/false); });
+      sweep.add([&m, p, kind] { return run_ba(m, p, kind, /*mixed=*/true); });
+      sweep.add([&m, p, kind] { return run_acs(m, p, kind); });
     }
   }
   const std::vector<Row> rows = sweep.run();
@@ -161,7 +158,6 @@ int main(int argc, char** argv) {
         " ta=" + std::to_string(p.ta) + "  (T_BC=" + std::to_string(tm.t_bc) +
         ", T_BA=" + std::to_string(tm.t_ba) +
         ", T_ACS=" + std::to_string(tm.t_acs) + ", Δ=10)";
-    bench::banner(title);
     bench::Table t({"primitive", "network", "all output", "consistent",
                     "latest output", "bound", "messages"});
     for (NetworkKind kind : kinds) {
@@ -196,10 +192,7 @@ int main(int argc, char** argv) {
               sync ? std::to_string(tm.t_acs) : "a.s. eventual", r.messages);
       }
     }
-    t.print();
-    report.add(title, t);
+    ctx.section(title, t);
   }
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

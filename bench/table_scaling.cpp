@@ -10,11 +10,11 @@
 // this file IS the perf trajectory); the bench-smoke shape gate ignores
 // cell values.
 //
-// --smoke: runs only the n=64 synchronous WSS cell and exits nonzero unless
-// every honest party got rows and the invariant monitors stayed clean — the
-// CI scaling-smoke gate (wall-clock budget enforced by the job's timeout).
+// scaling_smoke: runs only the n=64 synchronous WSS cell and exits nonzero
+// unless every honest party got rows and the invariant monitors stayed
+// clean — the CI scaling-smoke gate (wall-clock budget enforced by the
+// job's timeout).
 #include <chrono>
-#include <cstring>
 #include <iostream>
 
 #include "bench_util.h"
@@ -29,27 +29,9 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
-/// Widest feasible (ts, ta) ladder with ta ~ ts/2: ts = (n-1)/3 keeps
-/// n > 2ts + max(2ta, ts) = 3ts tight (n=64 -> (21,10), n=128 -> (42,21)).
-ProtocolParams params_for(int n) {
-  const int ts = (n - 1) / 3;
-  return ProtocolParams{n, ts, ts / 2};
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string fixed2(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(2) << v;
-  return os.str();
-}
+using bench::fixed2;
+using bench::ms_since;
+using bench::params_for;
 
 struct E2eResult {
   int with_rows = 0;
@@ -71,7 +53,7 @@ struct E2eResult {
 /// artifact instead of leaving readers to guess what NAMPC_FLIGHT_DIR held.
 void report_valve_trip(const std::string& label, const E2eResult& r) {
   if (r.status != RunStatus::event_limit) return;
-  std::cerr << "table_scaling: event-limit valve tripped in " << label
+  std::cerr << "nampc_bench scaling: event-limit valve tripped in " << label
             << " after " << r.events << " events; flight record "
             << (r.flight_path.empty()
                     ? std::string(
@@ -86,15 +68,16 @@ std::string cell_label(const char* prim, int n, NetworkKind kind) {
 }
 
 template <typename Inst, typename Spawn, typename Start>
-E2eResult run_sharing(ProtocolParams p, NetworkKind kind,
-                      const std::string& label, Spawn spawn, Start start) {
+E2eResult run_sharing(bench::MonitorTally& tally, ProtocolParams p,
+                      NetworkKind kind, const std::string& label, Spawn spawn,
+                      Start start) {
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = kind;
   cfg.seed = 1009;
 
   Simulation sim(cfg, std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors, label);
+  bench::MonitoredRun mon_guard(sim, tally, label);
   std::vector<Inst*> inst;
   for (int i = 0; i < p.n; ++i) inst.push_back(spawn(sim, i));
   const auto t0 = std::chrono::steady_clock::now();
@@ -123,10 +106,10 @@ E2eResult run_sharing(ProtocolParams p, NetworkKind kind,
   return r;
 }
 
-E2eResult run_wss(int n, NetworkKind kind) {
+E2eResult run_wss(bench::MonitorTally& tally, int n, NetworkKind kind) {
   const ProtocolParams p = params_for(n);
   return run_sharing<Wss>(
-      p, kind, cell_label("wss", n, kind),
+      tally, p, kind, cell_label("wss", n, kind),
       [](Simulation& sim, int i) {
         (void)i;
         return &sim.party(i).spawn<Wss>("wss", 0, 0, WssOptions{}, nullptr);
@@ -138,13 +121,13 @@ E2eResult run_wss(int n, NetworkKind kind) {
       });
 }
 
-E2eResult run_vss(int n, NetworkKind kind) {
+E2eResult run_vss(bench::MonitorTally& tally, int n, NetworkKind kind) {
   const ProtocolParams p = params_for(n);
   // Z = the last ts - ta parties (any fixed choice works for an honest run).
   PartySet z;
   for (int i = 0; i < p.ts - p.ta; ++i) z.insert(p.n - 1 - i);
   return run_sharing<Vss>(
-      p, kind, cell_label("vss", n, kind),
+      tally, p, kind, cell_label("vss", n, kind),
       [&z](Simulation& sim, int i) {
         (void)i;
         return &sim.party(i).spawn<Vss>("vss", 0, 0, 1, z, nullptr);
@@ -155,14 +138,14 @@ E2eResult run_vss(int n, NetworkKind kind) {
       });
 }
 
-E2eResult run_bc(int n, NetworkKind kind) {
+E2eResult run_bc(bench::MonitorTally& tally, int n, NetworkKind kind) {
   const ProtocolParams p = params_for(n);
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = kind;
   cfg.seed = 1013;
   Simulation sim(cfg, std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors, cell_label("bc", n, kind));
+  bench::MonitoredRun mon_guard(sim, tally, cell_label("bc", n, kind));
   std::vector<Bc*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Bc>("bc", 0, 0, nullptr));
@@ -306,11 +289,11 @@ KernelRow star_kernel(int n) {
   return r;
 }
 
-// --------------------------------------------------------------- smoke ---
+}  // namespace
 
-int run_smoke() {
+int bench::scaling_smoke(RunContext& ctx) {
   std::cout << "scaling smoke: n=64 synchronous Pi_WSS, monitors attached\n";
-  const E2eResult r = run_wss(64, NetworkKind::synchronous);
+  const E2eResult r = run_wss(ctx.monitors, 64, NetworkKind::synchronous);
   report_valve_trip(cell_label("wss", 64, NetworkKind::synchronous), r);
   std::cout << "  output=" << r.with_rows << "/64 latest=" << r.latest
             << " messages=" << r.messages << " events=" << r.events
@@ -324,17 +307,10 @@ int run_smoke() {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
-  }
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_scaling(RunContext& ctx) {
   std::cout << "E10: scaling engine curves. End-to-end latency, message "
                "volume and allocation behaviour vs n, plus kernel curves "
                "for the batched RS encode and the incremental Star.\n";
-  bench::BenchReport report("scaling");
 
   const std::vector<NetworkKind> kinds = {NetworkKind::synchronous,
                                           NetworkKind::asynchronous};
@@ -348,26 +324,28 @@ int main(int argc, char** argv) {
     return n > 32 ? std::vector<NetworkKind>{NetworkKind::synchronous}
                   : kinds;
   };
-  report.note("wss async ceiling",
-              "n=32 (the n=64 async cell trips the 200M-event safety valve)");
+  ctx.report.note(
+      "wss async ceiling",
+      "n=32 (the n=64 async cell trips the 200M-event safety valve)");
 
-  Sweep<E2eResult> sweep(jobs);
+  Sweep<E2eResult> sweep(ctx.jobs);
+  bench::MonitorTally& m = ctx.monitors;
   std::vector<std::string> labels;
   for (int n : wss_ns) {
     for (NetworkKind k : wss_kinds(n)) {
-      sweep.add([n, k] { return run_wss(n, k); });
+      sweep.add([&m, n, k] { return run_wss(m, n, k); });
       labels.push_back(cell_label("wss", n, k));
     }
   }
   for (int n : vss_ns) {
     for (NetworkKind k : kinds) {
-      sweep.add([n, k] { return run_vss(n, k); });
+      sweep.add([&m, n, k] { return run_vss(m, n, k); });
       labels.push_back(cell_label("vss", n, k));
     }
   }
   for (int n : bc_ns) {
     for (NetworkKind k : kinds) {
-      sweep.add([n, k] { return run_bc(n, k); });
+      sweep.add([&m, n, k] { return run_bc(m, n, k); });
       labels.push_back(cell_label("bc", n, k));
     }
   }
@@ -378,13 +356,11 @@ int main(int argc, char** argv) {
 
   std::size_t idx = 0;
   {
-    bench::banner("Pi_WSS end-to-end scaling");
     bench::Table t(kE2eHeaders);
     for (int n : wss_ns) {
       for (NetworkKind k : wss_kinds(n)) add_e2e_row(t, n, k, results[idx++]);
     }
-    t.print();
-    report.add("Pi_WSS end-to-end scaling", t);
+    ctx.section("Pi_WSS end-to-end scaling", t);
   }
   const struct {
     const char* title;
@@ -392,18 +368,15 @@ int main(int argc, char** argv) {
   } e2e_sections[] = {{"Pi_VSS end-to-end scaling", &vss_ns},
                       {"Pi_BC end-to-end scaling", &bc_ns}};
   for (const auto& sec : e2e_sections) {
-    bench::banner(sec.title);
     bench::Table t(kE2eHeaders);
     for (int n : *sec.ns) {
       for (NetworkKind k : kinds) add_e2e_row(t, n, k, results[idx++]);
     }
-    t.print();
-    report.add(sec.title, t);
+    ctx.section(sec.title, t);
   }
 
   const std::vector<int> kernel_ns = {10, 16, 32, 64, 128};
   {
-    bench::banner("Batched RS encode kernel (n codewords, degree ts)");
     bench::Table t({"n", "ts", "per-row us", "batched us", "speedup",
                     "bit-identical"});
     for (int n : kernel_ns) {
@@ -412,11 +385,9 @@ int main(int argc, char** argv) {
             fixed2(r.batched_us > 0 ? r.scratch_us / r.batched_us : 0),
             r.match ? "yes" : "NO");
     }
-    t.print();
-    report.add("Batched RS encode kernel (n codewords, degree ts)", t);
+    ctx.section("Batched RS encode kernel (n codewords, degree ts)", t);
   }
   {
-    bench::banner("Incremental Star kernel (4n OK-edge arrivals)");
     bench::Table t({"n", "ta", "scratch us", "incremental us", "speedup",
                     "verdicts agree"});
     for (int n : kernel_ns) {
@@ -425,11 +396,7 @@ int main(int argc, char** argv) {
             fixed2(r.batched_us > 0 ? r.scratch_us / r.batched_us : 0),
             r.match ? "yes" : "NO");
     }
-    t.print();
-    report.add("Incremental Star kernel (4n OK-edge arrivals)", t);
+    ctx.section("Incremental Star kernel (4n OK-edge arrivals)", t);
   }
-
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

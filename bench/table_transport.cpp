@@ -6,7 +6,7 @@
 //   WSS e2e  n in {4, 8, 16, 32}
 //   VSS e2e  n in {4, 8, 16}
 //   MPC e2e  n in {4, 5}     (full primitives; larger full-stack MPC is
-//                             minutes per run — see table_mpc_e2e, which
+//                             minutes per run — see table_mpc_e2e.cpp, which
 //                             switches n=7 to ideal BA/SBA for the same
 //                             reason. Ideal primitives share state across
 //                             parties and are DES-only.)
@@ -23,11 +23,10 @@
 // sweep engine: the threaded backend owns all the cores it can get, and
 // concurrent cells would distort exactly the wall numbers this table is for.
 //
-// --smoke: threaded 8-party WSS e2e (monitor-clean, correct shares) plus
-// the record/replay round-trip gate; exits nonzero on any failure — the CI
-// transport-smoke job.
+// transport_smoke: threaded 8-party WSS e2e (monitor-clean, correct
+// shares) plus the record/replay round-trip gate; exits nonzero on any
+// failure — the CI transport-smoke job.
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 
@@ -44,32 +43,14 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across the DES cells (threaded cells
-/// fold their own shared-engine counts in explicitly).
-bench::MonitorTally g_monitors;
-
-/// Same (ts, ta) ladder as table_scaling: ts = (n-1)/3, ta = ts/2.
-ProtocolParams params_for(int n) {
-  const int ts = (n - 1) / 3;
-  return ProtocolParams{n, ts, ts / 2};
-}
+using bench::fixed2;
+using bench::ms_since;
+using bench::params_for;
 
 /// One fixed dealer input per threshold so every backend shares it.
 std::vector<Polynomial> fixed_row0s(int ts) {
   Rng rng(0xfeedu);
   return {Polynomial::random_with_constant(Fp(4242), ts, rng)};
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string fixed2(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(2) << v;
-  return os.str();
 }
 
 /// One backend×cell measurement. `ok` = run completed, every honest party
@@ -105,7 +86,7 @@ using SharingSpawn = std::function<Inst&(Simulation&, PartyId)>;
 /// Threaded run of a WSS-family protocol: dealer 0 deals fixed_row0s, every
 /// party's goal is has_output, outputs checked against the dealt polynomial.
 template <typename Inst>
-Row run_threaded_sharing(int n, std::uint64_t seed,
+Row run_threaded_sharing(bench::MonitorTally& tally, int n, std::uint64_t seed,
                          const SharingSpawn<Inst>& spawn_one) {
   ThreadedConfig cfg;
   cfg.params = params_for(n);
@@ -125,8 +106,10 @@ Row run_threaded_sharing(int n, std::uint64_t seed,
   r.messages = res.wire_messages;
   r.events = res.events;
   r.violations = res.violations.size();
-  g_monitors.events += res.monitor_events;
-  g_monitors.violations += res.violations.size();
+  // No MonitoredRun here: the threaded run's shared engine reports its own
+  // counts, folded into the tally by hand.
+  tally.events += res.monitor_events;
+  tally.violations += res.violations.size();
   r.ok = res.completed && res.violations.empty();
   const std::vector<Polynomial> row0s = fixed_row0s(cfg.params.ts);
   for (int i = 0; i < n && r.ok; ++i) {
@@ -143,14 +126,15 @@ Row run_threaded_sharing(int n, std::uint64_t seed,
 /// DES baseline for the same cell: asynchronous network (what a real
 /// network models), same seed, same dealt polynomial.
 template <typename Inst>
-Row run_des_sharing(int n, std::uint64_t seed, const std::string& label,
+Row run_des_sharing(bench::MonitorTally& tally, int n, std::uint64_t seed,
+                    const std::string& label,
                     const SharingSpawn<Inst>& spawn_one) {
   Simulation::Config cfg;
   cfg.params = params_for(n);
   cfg.kind = NetworkKind::asynchronous;
   cfg.seed = seed;
   Simulation sim(cfg, std::make_shared<Adversary>());
-  bench::MonitoredRun mon_guard(sim, g_monitors, label);
+  bench::MonitoredRun mon_guard(sim, tally, label);
   std::vector<Inst*> inst;
   for (int i = 0; i < n; ++i) inst.push_back(&spawn_one(sim, i));
   const auto t0 = std::chrono::steady_clock::now();
@@ -208,7 +192,7 @@ Circuit mpc_circuit(int n) {
   return c;
 }
 
-Row run_threaded_mpc(int n, std::uint64_t seed) {
+Row run_threaded_mpc(bench::MonitorTally& tally, int n, std::uint64_t seed) {
   const Circuit circuit = mpc_circuit(n);
   ThreadedConfig cfg;
   cfg.params = params_for(n);
@@ -228,8 +212,8 @@ Row run_threaded_mpc(int n, std::uint64_t seed) {
   r.messages = res.wire_messages;
   r.events = res.events;
   r.violations = res.violations.size();
-  g_monitors.events += res.monitor_events;
-  g_monitors.violations += res.violations.size();
+  tally.events += res.monitor_events;
+  tally.violations += res.violations.size();
   r.ok = res.completed && res.violations.empty();
   for (int i = 0; i < n && r.ok; ++i) {
     const Mpc* m = inst[static_cast<std::size_t>(i)];
@@ -242,7 +226,7 @@ Row run_threaded_mpc(int n, std::uint64_t seed) {
   return r;
 }
 
-Row run_des_mpc(int n, std::uint64_t seed) {
+Row run_des_mpc(bench::MonitorTally& tally, int n, std::uint64_t seed) {
   const Circuit circuit = mpc_circuit(n);
   Simulation::Config cfg;
   cfg.params = params_for(n);
@@ -250,7 +234,7 @@ Row run_des_mpc(int n, std::uint64_t seed) {
   cfg.seed = seed;
   Simulation sim(cfg, std::make_shared<Adversary>());
   bench::MonitoredRun mon_guard(
-      sim, g_monitors, "transport_mpc_des_n" + std::to_string(n));
+      sim, tally, "transport_mpc_des_n" + std::to_string(n));
   std::vector<Mpc*> inst;
   for (int i = 0; i < n; ++i) {
     const FpVec inputs = {Fp(static_cast<std::uint64_t>(3 + i))};
@@ -288,7 +272,7 @@ struct ReplayResult {
   bool byte_identical = false;   ///< the two replay run reports agree
 };
 
-ReplayResult run_replay_gate() {
+ReplayResult run_replay_gate(bench::MonitorTally& tally) {
   ReplayResult out;
   ThreadedConfig cfg;
   cfg.params = {8, 2, 1};
@@ -305,8 +289,8 @@ ReplayResult run_replay_gate() {
         if (id == 0) w.start(fixed_row0s(sim.params().ts));
         return [&w] { return w.has_output(); };
       });
-  g_monitors.events += real.monitor_events;
-  g_monitors.violations += real.violations.size();
+  tally.events += real.monitor_events;
+  tally.violations += real.violations.size();
   out.recorded = real.completed && real.violations.empty() &&
                  !real.schedule.records.empty();
   out.records = real.schedule.records.size();
@@ -324,15 +308,15 @@ ReplayResult run_replay_gate() {
     return out;
   }
 
-  auto replay_once = [&imported](std::uint64_t* matched,
-                                 std::uint64_t* missed, bool* ok) {
+  auto replay_once = [&imported, &tally](std::uint64_t* matched,
+                                         std::uint64_t* missed, bool* ok) {
     Simulation::Config rc;
     rc.params = imported.params;
     rc.kind = imported.kind;
     rc.seed = imported.seed;
     auto adversary = std::make_shared<ReplayAdversary>(imported);
     Simulation sim(rc, adversary);
-    bench::MonitoredRun mon_guard(sim, g_monitors, "transport_replay");
+    bench::MonitoredRun mon_guard(sim, tally, "transport_replay");
     std::vector<Wss*> replay_inst;
     WssOptions opts;
     opts.num_secrets = 1;
@@ -364,19 +348,19 @@ ReplayResult run_replay_gate() {
   return out;
 }
 
-// ---------------------------------------------------------------------------
+}  // namespace
 
-/// --smoke: threaded 8-party WSS e2e plus the record/replay round-trip
-/// gate. Nonzero exit on any failure — the CI transport-smoke contract.
-int run_smoke() {
+/// Threaded 8-party WSS e2e plus the record/replay round-trip gate. Nonzero
+/// exit on any failure — the CI transport-smoke contract.
+int bench::transport_smoke(RunContext& ctx) {
   std::cout << "transport smoke: threaded 8-party Pi_WSS + record/replay "
                "round trip\n";
-  const Row wss = run_threaded_sharing<Wss>(8, 21, wss_spawner());
+  const Row wss = run_threaded_sharing<Wss>(ctx.monitors, 8, 21, wss_spawner());
   std::cout << "  threaded wss: ok=" << (wss.ok ? "yes" : "NO")
             << " messages=" << wss.messages << " wall_ms="
             << fixed2(wss.wall_ms) << " violations=" << wss.violations
             << "\n";
-  const ReplayResult gate = run_replay_gate();
+  const ReplayResult gate = run_replay_gate(ctx.monitors);
   std::cout << "  replay gate: records=" << gate.records
             << " matched=" << gate.matched << " missed=" << gate.missed
             << " byte_identical=" << (gate.byte_identical ? "yes" : "NO")
@@ -387,74 +371,58 @@ int run_smoke() {
   return pass ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke();
-
+int bench::table_transport(RunContext& ctx) {
   std::cout << "T1: transport backends. Threaded real-concurrency backend "
                "(one OS thread per party) vs the DES virtual-time baseline; "
                "honest parties, asynchronous model, fixed inputs.\n"
             << "(latest t is virtual DES time / wall ticks respectively; "
                "messages counts cross-party wires only for the threaded "
                "backend.)\n";
-  bench::BenchReport report("transport");
-  report.note("backends", "des (virtual time), threaded (1 thread/party)");
-  report.note("model", "asynchronous, honest-only (adversary hooks are DES)");
+  ctx.report.note("backends", "des (virtual time), threaded (1 thread/party)");
+  ctx.report.note("model",
+                  "asynchronous, honest-only (adversary hooks are DES)");
+  bench::MonitorTally& m = ctx.monitors;
 
   {
-    bench::banner("Pi_WSS end-to-end");
     bench::Table t(kHeaders);
     for (int n : {4, 8, 16, 32}) {
       add_row(t, "des", n,
               run_des_sharing<Wss>(
-                  n, 21, "transport_wss_des_n" + std::to_string(n),
+                  m, n, 21, "transport_wss_des_n" + std::to_string(n),
                   wss_spawner()));
-      add_row(t, "threaded", n, run_threaded_sharing<Wss>(n, 21, wss_spawner()));
+      add_row(t, "threaded", n,
+              run_threaded_sharing<Wss>(m, n, 21, wss_spawner()));
     }
-    t.print();
-    report.add("Pi_WSS end-to-end", t);
+    ctx.section("Pi_WSS end-to-end", t);
   }
 
   {
-    bench::banner("Pi_VSS end-to-end");
     bench::Table t(kHeaders);
     for (int n : {4, 8, 16}) {
       add_row(t, "des", n,
               run_des_sharing<Vss>(
-                  n, 33, "transport_vss_des_n" + std::to_string(n),
+                  m, n, 33, "transport_vss_des_n" + std::to_string(n),
                   vss_spawner(n)));
       add_row(t, "threaded", n,
-              run_threaded_sharing<Vss>(n, 33, vss_spawner(n)));
+              run_threaded_sharing<Vss>(m, n, 33, vss_spawner(n)));
     }
-    t.print();
-    report.add("Pi_VSS end-to-end", t);
+    ctx.section("Pi_VSS end-to-end", t);
   }
 
   {
-    bench::banner("MPC end-to-end (full primitives)");
     bench::Table t(kHeaders);
     for (int n : {4, 5}) {
-      add_row(t, "des", n, run_des_mpc(n, 55));
-      add_row(t, "threaded", n, run_threaded_mpc(n, 55));
+      add_row(t, "des", n, run_des_mpc(m, n, 55));
+      add_row(t, "threaded", n, run_threaded_mpc(m, n, 55));
     }
-    t.print();
-    report.add("MPC end-to-end (full primitives)", t);
+    ctx.section("MPC end-to-end (full primitives)", t);
   }
 
-  {
-    bench::banner("record/replay bridge (threaded n=8 WSS -> DES)");
-    const ReplayResult g = run_replay_gate();
-    bench::Table t({"records", "json bytes", "round trip", "matched",
-                    "missed", "replay ok", "byte identical"});
-    t.row(g.records, g.json_bytes, g.round_trip ? "yes" : "NO", g.matched,
-          g.missed, g.replay_ok ? "yes" : "NO",
-          g.byte_identical ? "yes" : "NO");
-    t.print();
-    report.add("record/replay bridge (threaded n=8 WSS -> DES)", t);
-  }
-
-  report.set_monitors(g_monitors);
-  report.save();
+  const ReplayResult g = run_replay_gate(m);
+  bench::Table t({"records", "json bytes", "round trip", "matched", "missed",
+                  "replay ok", "byte identical"});
+  t.row(g.records, g.json_bytes, g.round_trip ? "yes" : "NO", g.matched,
+        g.missed, g.replay_ok ? "yes" : "NO", g.byte_identical ? "yes" : "NO");
+  ctx.section("record/replay bridge (threaded n=8 WSS -> DES)", t);
   return 0;
 }

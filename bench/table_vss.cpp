@@ -14,9 +14,6 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
 struct Result {
   int holders = 0;
   int empty = 0;
@@ -26,8 +23,9 @@ struct Result {
   std::uint64_t messages = 0;
 };
 
-Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
-           bool ideal, PartySet z, std::uint64_t seed) {
+Result run(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind,
+           const std::string& attack, bool ideal, PartySet z,
+           std::uint64_t seed) {
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = kind;
@@ -59,7 +57,7 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
   }
 
   Simulation sim(cfg, adv);
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Vss*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Vss>("vss", 0, 0, 1, z, nullptr));
@@ -93,13 +91,11 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_vss(RunContext& ctx) {
   std::cout << "E5: Pi_VSS matrix (Theorem 7.3). T_VSS = "
                "(ts+1)(5T_BC+T'_WSS+2T_BA); strong commitment: honest "
                "outputs are all-or-none and lie on one degree-ts "
                "polynomial; reveals stay inside Z.\n";
-  bench::BenchReport report("vss");
   struct Cfg {
     ProtocolParams p;
     bool ideal;
@@ -113,12 +109,12 @@ int main(int argc, char** argv) {
   const std::vector<const char*> attacks = {"none", "silent-z",
                                             "cheating-dealer"};
 
-  Sweep<Result> sweep(jobs);
+  Sweep<Result> sweep(ctx.jobs);
   for (const Cfg& c : cfgs) {
     for (NetworkKind kind : kinds) {
       for (const char* attack : attacks) {
-        sweep.add([c, kind, attack] {
-          return run(c.p, kind, attack, c.ideal, c.z, 88);
+        sweep.add([&ctx, c, kind, attack] {
+          return run(ctx.monitors, c.p, kind, attack, c.ideal, c.z, 88);
         });
       }
     }
@@ -133,7 +129,6 @@ int main(int argc, char** argv) {
         " ta=" + std::to_string(c.p.ta) + " Z=" + c.z.str() +
         "  T_VSS=" + std::to_string(tm.t_vss) +
         (c.ideal ? "  [ideal BA/SBA]" : "  [full primitives]");
-    bench::banner(title);
     bench::Table t({"network", "adversary", "holders", "no output",
                     "latest t", "<=T_VSS", "deg<=ts", "reveals in Z",
                     "messages"});
@@ -149,12 +144,9 @@ int main(int argc, char** argv) {
               r.reveals_in_z ? "yes" : "NO", r.messages);
       }
     }
-    t.print();
-    report.add(title, t);
+    ctx.section(title, t);
   }
   std::cout << "(cheating-dealer rows: all-or-none outputs are both valid "
                "per strong commitment)\n";
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

@@ -16,9 +16,6 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
 struct Result {
   int with_triples = 0;
   int discarded = 0;
@@ -28,8 +25,9 @@ struct Result {
   std::uint64_t messages = 0;
 };
 
-Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
-           bool ideal, PartySet z, std::uint64_t seed) {
+Result run(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind,
+           const std::string& attack, bool ideal, PartySet z,
+           std::uint64_t seed) {
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = kind;
@@ -49,7 +47,7 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
   }
 
   Simulation sim(cfg, adv);
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Vts*> inst;
   for (int i = 0; i < p.n; ++i) {
     inst.push_back(&sim.party(i).spawn<Vts>("vts", 0, 0, 2, z, nullptr));
@@ -87,11 +85,9 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_vts(RunContext& ctx) {
   std::cout << "E6: Pi_VTS matrix (Theorem 8.2). T_VTS = T_VSS + 3T_BC + 2Δ; "
                "an accepted triple always satisfies c = a*b.\n";
-  bench::BenchReport report("vts");
   struct Cfg {
     ProtocolParams p;
     bool ideal;
@@ -104,12 +100,12 @@ int main(int argc, char** argv) {
                                           NetworkKind::asynchronous};
   const std::vector<const char*> attacks = {"none", "silent-z", "bad-dealer"};
 
-  Sweep<Result> sweep(jobs);
+  Sweep<Result> sweep(ctx.jobs);
   for (const Cfg& c : cfgs) {
     for (NetworkKind kind : kinds) {
       for (const char* attack : attacks) {
-        sweep.add([c, kind, attack] {
-          return run(c.p, kind, attack, c.ideal, c.z, 33);
+        sweep.add([&ctx, c, kind, attack] {
+          return run(ctx.monitors, c.p, kind, attack, c.ideal, c.z, 33);
         });
       }
     }
@@ -124,7 +120,6 @@ int main(int argc, char** argv) {
         " ta=" + std::to_string(c.p.ta) + " Z=" + c.z.str() +
         "  T_VTS=" + std::to_string(tm.t_vts) +
         (c.ideal ? "  [ideal BA/SBA]" : "  [full primitives]");
-    bench::banner(title);
     bench::Table t({"network", "adversary", "triples", "discarded", "none",
                     "c==a*b", "latest t", "<=T_VTS", "messages"});
     for (NetworkKind kind : kinds) {
@@ -138,13 +133,10 @@ int main(int argc, char** argv) {
               r.messages);
       }
     }
-    t.print();
-    report.add(title, t);
+    ctx.section(title, t);
   }
   std::cout << "(bad-dealer rows: 'discarded'/'none' outcomes are the "
                "correct behaviour; 'c==a*b: yes' confirms no bad triple "
                "was ever accepted)\n";
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

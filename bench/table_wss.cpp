@@ -15,9 +15,6 @@ using namespace nampc;
 
 namespace {
 
-/// Aggregate invariant-monitor verdict across every grid cell.
-bench::MonitorTally g_monitors;
-
 struct Result {
   int with_rows = 0;
   int with_bot = 0;
@@ -29,8 +26,8 @@ struct Result {
   bool consistent = true;
 };
 
-Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
-           bool ideal, std::uint64_t seed) {
+Result run(bench::MonitorTally& tally, ProtocolParams p, NetworkKind kind,
+           const std::string& attack, bool ideal, std::uint64_t seed) {
   Simulation::Config cfg;
   cfg.params = p;
   cfg.kind = kind;
@@ -50,7 +47,7 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
   }
 
   Simulation sim(cfg, adv);
-  bench::MonitoredRun mon_guard(sim, g_monitors);
+  bench::MonitoredRun mon_guard(sim, tally);
   std::vector<Wss*> inst;
   WssOptions opts;
   for (int i = 0; i < p.n; ++i) {
@@ -90,12 +87,10 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = sweep_cli_jobs(argc, argv);
+int bench::table_wss(RunContext& ctx) {
   std::cout << "E4: Pi_WSS matrix (Theorem 6.3). T_WSS = "
                "(ts-ta+1)(5T_BC+2T_BA)+3Δ; restarts bounded by ts-ta; "
                "revealed rows bounded by ts-ta.\n";
-  bench::BenchReport report("wss");
   struct Cfg {
     ProtocolParams p;
     bool ideal;
@@ -106,12 +101,12 @@ int main(int argc, char** argv) {
                                           NetworkKind::asynchronous};
   const std::vector<const char*> attacks = {"none", "silent", "wrong-points"};
 
-  Sweep<Result> sweep(jobs);
+  Sweep<Result> sweep(ctx.jobs);
   for (const Cfg& c : cfgs) {
     for (NetworkKind kind : kinds) {
       for (const char* attack : attacks) {
-        sweep.add([c, kind, attack] {
-          return run(c.p, kind, attack, c.ideal, 77);
+        sweep.add([&ctx, c, kind, attack] {
+          return run(ctx.monitors, c.p, kind, attack, c.ideal, 77);
         });
       }
     }
@@ -126,7 +121,6 @@ int main(int argc, char** argv) {
         " ta=" + std::to_string(c.p.ta) + "  T_WSS=" +
         std::to_string(tm.t_wss) +
         (c.ideal ? "  [ideal BA/SBA]" : "  [full primitives]");
-    bench::banner(title);
     bench::Table t({"network", "adversary", "rows", "bot", "none",
                     "latest t", "<=T_WSS", "restarts", "revealed",
                     "consistent", "messages"});
@@ -141,10 +135,7 @@ int main(int argc, char** argv) {
               r.messages);
       }
     }
-    t.print();
-    report.add(title, t);
+    ctx.section(title, t);
   }
-  report.set_monitors(g_monitors);
-  report.save();
   return 0;
 }

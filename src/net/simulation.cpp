@@ -74,7 +74,6 @@ void Simulation::push_event(Time t, int klass, Event ev) {
   NAMPC_REQUIRE(klass >= 0 && klass <= kMaxKlass, "event klass out of range");
   NAMPC_REQUIRE(t <= (std::numeric_limits<Time>::max() >> kKlassBits),
                 "event time beyond the queue's key range");
-  if (tracer_) tracer_->on_schedule(t, klass);
   const std::uint64_t key =
       (static_cast<std::uint64_t>(t) << kKlassBits) |
       static_cast<std::uint64_t>(klass);
@@ -227,7 +226,7 @@ void Simulation::on_event_limit() {
   std::cerr << dump.str();
   // Env-gated flight-record dump: CI legs set NAMPC_FLIGHT_DIR so any
   // valve trip anywhere (cli, bench, fuzz) leaves an artifact behind.
-  // last_flight_path_ keeps the written name so drivers (table_scaling)
+  // last_flight_path_ keeps the written name so drivers (nampc_bench)
   // can point at the artifact from their own summaries.
   last_flight_path_.clear();
   if (const char* dir = std::getenv("NAMPC_FLIGHT_DIR");

@@ -93,7 +93,7 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   w.kv("rs_decodes", m.rs_decodes);
   w.key("honest_polys_revealed").begin_object();
   for (const auto& [dealer, worst] : sim.worst_honest_reveals()) {
-    w.kv("P" + std::to_string(dealer), worst);
+    w.kv(std::string("P").append(std::to_string(dealer)), worst);
   }
   w.end_object();
   w.end_object();

@@ -86,11 +86,6 @@ void Tracer::on_flow(int from, int to, std::uint64_t words, Time send,
   flows_.push_back(TraceFlow{from, to, words, send, arrival, key});
 }
 
-void Tracer::on_schedule(Time t, int klass) {
-  (void)t;
-  scheduled_by_klass_[klass]++;
-}
-
 std::vector<Tracer::Aggregate> Tracer::aggregate_subtrees() const {
   std::vector<Aggregate> agg(spans_.size());
   for (std::size_t i = 0; i < spans_.size(); ++i) {
@@ -127,7 +122,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     w.begin_object();
     w.kv("ph", "M").kv("name", "process_name").kv("pid", party).kv("tid", 0);
     w.key("args").begin_object();
-    w.kv("name", "P" + std::to_string(party));
+    w.kv("name", std::string("P").append(std::to_string(party)));
     w.end_object();
     w.end_object();
   }

@@ -94,16 +94,11 @@ class Tracer {
   void on_send(int party, const std::string& key, std::uint64_t words);
   void on_flow(int from, int to, std::uint64_t words, Time send, Time arrival,
                const std::string& key);
-  void on_schedule(Time t, int klass);
 
   // --- queries ---
   [[nodiscard]] const std::vector<TraceSpan>& spans() const { return spans_; }
   [[nodiscard]] const std::vector<TraceFlow>& flows() const { return flows_; }
   [[nodiscard]] std::uint64_t dropped_flows() const { return dropped_flows_; }
-  /// Events scheduled per klass (0 = deliveries, 1..3 = timer classes).
-  [[nodiscard]] const std::map<int, std::uint64_t>& scheduled_by_klass() const {
-    return scheduled_by_klass_;
-  }
 
   /// Messages/words sent by each span's whole subtree (aligned with
   /// spans()). Children attribute to parents transitively.
@@ -124,7 +119,6 @@ class Tracer {
   std::vector<TraceFlow> flows_;
   std::uint64_t dropped_flows_ = 0;
   std::map<std::pair<int, std::string>, int> open_;  // (party, key) → index
-  std::map<int, std::uint64_t> scheduled_by_klass_;
 };
 
 }  // namespace nampc::obs

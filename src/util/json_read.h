@@ -1,16 +1,19 @@
-// Minimal JSON reading for observability tooling (trace analysis, bench
-// shape checks, tests that parse run reports). Counterpart of util/json.h:
-// handles exactly the subset JsonWriter emits — objects, arrays, strings,
-// numbers, booleans, null — keeps object members in input order, and keeps
-// \uXXXX escapes verbatim (no codepoint decoding), so round-tripping equal
-// inputs yields equal values. Header-only; throws nothing (parse reports
-// errors by return value), but JsonValue::at asserts on missing members.
+// The one JSON reader of the project: trace analysis, schedules, threshold
+// tables, fuzz cases, bench shape checks and the tests that validate emitted
+// JSON. Counterpart of util/json.h: objects, arrays, strings, numbers,
+// true/false/null. Literals follow the JSON grammar exactly, so a `nan` or
+// `inf` that JsonWriter::value(double) could emit is a parse error, not a
+// value. Keeps object members in input order and \uXXXX escapes verbatim
+// (no codepoint decoding), so round-tripping equal inputs yields equal
+// values. Header-only; throws nothing (parse reports errors by return
+// value), but JsonValue::at asserts on missing members.
 #pragma once
 
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,8 +80,7 @@ class JsonParser {
 
  private:
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+    while (at_char(' ') || at_char('\t') || at_char('\n') || at_char('\r')) {
       ++pos_;
     }
   }
@@ -98,16 +100,51 @@ class JsonParser {
       out.kind = JsonValue::Kind::string;
       return string(out.text);
     }
-    // Number / true / false / null: consume the bare token.
     out.kind = JsonValue::Kind::literal;
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (text_.compare(pos_, word.size(), word) == 0) {
+        pos_ += word.size();
+        out.text = word;
+        return true;
+      }
+    }
+    const std::size_t start = pos_;
+    if (!number()) return fail("unexpected character");
+    out.text = text_.substr(start, pos_ - start);
+    return true;
+  }
+
+  [[nodiscard]] bool at_char(char c) const {
+    return pos_ < text_.size() && text_[pos_] == c;
+  }
+
+  /// One or more decimal digits.
+  bool digits() {
     const std::size_t start = pos_;
     while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) return fail("unexpected character");
-    out.text = text_.substr(start, pos_ - start);
+    return pos_ > start;
+  }
+
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  bool number() {
+    if (at_char('-')) ++pos_;
+    if (at_char('0')) {
+      ++pos_;
+    } else if (!digits()) {
+      return false;
+    }
+    if (at_char('.')) {
+      ++pos_;
+      if (!digits()) return false;
+    }
+    if (at_char('e') || at_char('E')) {
+      ++pos_;
+      if (at_char('+') || at_char('-')) ++pos_;
+      if (!digits()) return false;
+    }
     return true;
   }
 
@@ -196,8 +233,12 @@ class JsonParser {
             // Structural comparison does not need codepoint decoding: keep
             // the escape verbatim so equal inputs stay equal.
             out += "\\u";
-            for (int i = 0; i < 4 && pos_ < text_.size(); ++i) {
-              out += text_[pos_++];
+            for (int i = 0; i < 4; ++i, ++pos_) {
+              if (pos_ >= text_.size() ||
+                  !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
+                return fail("bad escape");
+              }
+              out += text_[pos_];
             }
             break;
           default: return fail("bad escape");

@@ -1,10 +1,15 @@
-// Unit tests: codec, PartySet, Rng, timing formulas, metrics plumbing.
+// Unit tests: codec, PartySet, Rng, timing formulas, metrics plumbing, the
+// JSON reader.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "net/time.h"
 #include "util/codec.h"
+#include "util/json_read.h"
 #include "util/rng.h"
 #include "util/small_set.h"
 
@@ -176,6 +181,63 @@ TEST(Timing, ParamsValidation) {
   EXPECT_THROW((ProtocolParams{130, 2, 1}.validate()), InvariantError); // n>128
   EXPECT_TRUE((ProtocolParams{7, 2, 1}.feasible()));
   EXPECT_FALSE((ProtocolParams{6, 2, 1}.feasible()));
+}
+
+bool parses(const std::string& text) {
+  JsonValue v;
+  std::string error;
+  return json_parse(text, v, error);
+}
+
+TEST(JsonRead, AcceptsExactlyTheJsonLiterals) {
+  for (const char* ok : {"true", "false", "null", "0", "-0", "42", "-7",
+                         "3.25", "1e9", "2.5E-3", "-1.0e+2", "[1, true]",
+                         "{\"a\": null}", " \t\r\n7 "}) {
+    EXPECT_TRUE(parses(ok)) << ok;
+  }
+  for (const char* bad :
+       {"nan", "-nan", "inf", "-inf", "NaN", "tru", "True", "nul", "01",
+        "-01", "1.", ".5", "1e", "1e+", "+1", "-", "0x10", "word", "yes",
+        "[1, nan]", "{\"a\": inf}", "[trueish]", "\"\\u12\"", "\v1"}) {
+    EXPECT_FALSE(parses(bad)) << bad;
+  }
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(json_parse("[-12, 2.5e1, false]", v, error)) << error;
+  EXPECT_EQ(v.items[0].i64(), -12);
+  EXPECT_EQ(v.items[1].num(), 25.0);
+  EXPECT_FALSE(v.items[2].boolean());
+}
+
+TEST(JsonRead, ParsesEveryCommittedArtifact) {
+  namespace fs = std::filesystem;
+  const fs::path root = NAMPC_SOURCE_DIR;
+  auto read = [](const fs::path& path) {
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  int bench = 0;
+  int prof = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(root)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("BENCH_", 0) == 0 && e.path().extension() == ".json") {
+      EXPECT_TRUE(parses(read(e.path()))) << name;
+      ++bench;
+    } else if (name.rfind("PROF_", 0) == 0 &&
+               e.path().extension() == ".jsonl") {
+      std::istringstream lines(read(e.path()));
+      std::string line;
+      for (int lineno = 1; std::getline(lines, line); ++lineno) {
+        EXPECT_TRUE(parses(line)) << name << ":" << lineno;
+      }
+      ++prof;
+    }
+  }
+  EXPECT_EQ(bench, 11);
+  EXPECT_EQ(prof, 2);
+  EXPECT_TRUE(parses(read(root / "docs" / "THRESHOLDS.json")));
 }
 
 }  // namespace
