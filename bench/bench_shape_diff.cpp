@@ -153,8 +153,6 @@ int validate_metrics(const std::string& path, const std::string& text) {
       {"instance", {"id", "key", "kind", "events", "messages", "words"}},
       {"kind", {"kind", "tagged_copies", "events", "messages", "words"}},
       {"hist", {"name", "buckets"}},
-      {"counter", {"name", "value"}},
-      {"gauge", {"name", "value"}},
       {"total", {"events", "timers", "messages", "words", "pool_hits",
                  "pool_misses", "samples"}},
   };

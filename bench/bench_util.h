@@ -224,19 +224,19 @@ class BenchReport {
     os << "\n";
   }
 
-  /// Returns the path written, or "" on failure (reported on stderr).
-  std::string save() const {
+  /// False when the file cannot be opened or written (reported on stderr).
+  [[nodiscard]] bool save() const {
     const char* dir = std::getenv("NAMPC_BENCH_JSON_DIR");
     const std::string path =
         std::string(dir && *dir ? dir : ".") + "/BENCH_" + name_ + ".json";
     std::ofstream out(path);
-    if (!out) {
-      std::cerr << "BENCH json: cannot open " << path << "\n";
-      return "";
+    if (out) write(out);
+    if (!out.flush()) {
+      std::cerr << "BENCH json: cannot write " << path << "\n";
+      return false;
     }
-    write(out);
     std::cout << "\n[wrote " << path << "]\n";
-    return path;
+    return true;
   }
 
  private:

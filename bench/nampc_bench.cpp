@@ -8,7 +8,8 @@
 // the current directory); the smoke gates add none, so they write nothing.
 // The exit code is the table's own: non-zero means a broken bound
 // (feasibility, lowerbound) or a failed gate (scaling_smoke,
-// transport_smoke). An unknown or missing table name exits 2.
+// transport_smoke). An unknown or missing table name, or a BENCH json that
+// cannot be written, exits 2.
 #include <iostream>
 #include <string>
 
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
     const int rc = e.run(ctx);
     if (!ctx.report.empty()) {
       ctx.report.set_monitors(ctx.monitors);
-      ctx.report.save();
+      if (!ctx.report.save()) return 2;
     }
     return rc;
   }

@@ -32,9 +32,9 @@
 //     --trace FILE               write a Chrome trace_event / Perfetto
 //                                JSON trace of the run (virtual time)
 //     --rawtrace FILE            write an analysable trace (schema
-//                                nampc-trace/1) for the nampc_trace CLI
+//                                nampc-trace/2) for the nampc_trace CLI
 //     --report FILE              write a machine-readable run report
-//                                (schema nampc-run-report/4); "-" = stdout
+//                                (schema nampc-run-report/5); "-" = stdout
 //     --metrics FILE             write the cost-attribution metrics dump
 //                                (schema nampc-metrics/1 JSONL, read by
 //                                nampc_prof); "-" = stdout

@@ -3,8 +3,8 @@
 // The MPC protocol evaluates circuits of input, linear (add / sub /
 // constant-multiply / constant-add) and multiplication gates, with a set of
 // public output wires. The builder assigns wire ids in topological order;
-// mult_level() gives the multiplicative depth layering the MPC layer uses
-// to batch Beaver multiplications.
+// level() gives each wire's multiplicative level, which the MPC layer uses
+// to batch all Beaver multiplications of one level together.
 #pragma once
 
 #include <map>
@@ -49,12 +49,6 @@ class Circuit {
   /// Owner of output k: -1 = public.
   [[nodiscard]] int output_owner(int k) const {
     return output_owners_[static_cast<std::size_t>(k)];
-  }
-  [[nodiscard]] bool has_private_outputs() const {
-    for (int o : output_owners_) {
-      if (o >= 0) return true;
-    }
-    return false;
   }
   [[nodiscard]] int num_multiplications() const { return num_mult_; }
   [[nodiscard]] int num_inputs_of(int party) const {

@@ -103,9 +103,6 @@ void Simulation::post_message(Message msg) {
   NAMPC_REQUIRE(msg.from >= 0 && msg.from < n() && msg.to >= 0 && msg.to < n(),
                 "message endpoints out of range");
   registry_.on_send(msg.instance_id, msg.from, msg.payload.size());
-  if (tracer_) {
-    tracer_->on_send(msg.from, msg.instance(), msg.payload.size());
-  }
 
   // Self-delivery bypasses the network (a party talking to itself) in
   // every backend; only cross-party traffic reaches the transport seam.

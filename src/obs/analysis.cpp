@@ -10,7 +10,7 @@ namespace nampc::obs {
 
 namespace {
 
-constexpr const char* kSchema = "nampc-trace/1";
+constexpr const char* kSchema = "nampc-trace/2";
 
 /// The phase tag Wss applies when it runs Z-conditioned (ts+1 iterations),
 /// holding the span to T'_WSS instead of T_WSS.
@@ -69,7 +69,6 @@ void write_trace(std::ostream& os, const TraceData& data) {
     w.kv("nominal", static_cast<std::int64_t>(s.nominal));
     w.kv("end", static_cast<std::int64_t>(s.end));
     w.kv("done", static_cast<std::int64_t>(s.done));
-    w.kv("messages", s.messages_sent).kv("words", s.words_sent);
     w.kv("parent", s.parent);
     w.key("phases").begin_array();
     for (const auto& [name, t] : s.phases) {
@@ -135,8 +134,6 @@ bool load_trace(const std::string& text, TraceData& out, std::string& error) {
       s.nominal = js.at("nominal").i64();
       s.end = js.at("end").i64();
       s.done = js.at("done").i64();
-      s.messages_sent = js.at("messages").u64();
-      s.words_sent = js.at("words").u64();
       s.parent = static_cast<int>(js.at("parent").i64());
       for (const JsonValue& jp : js.at("phases").items) {
         s.phases.emplace_back(jp.at("name").text, jp.at("t").i64());
@@ -307,19 +304,16 @@ std::vector<KindDiff> diff_traces(const TraceData& a, const TraceData& b) {
     d.kind = kind;
     d.count_a = st.count;
     d.max_a = st.max;
-    d.words_a = st.words;
   }
   for (const auto& [kind, st] : sb) {
     KindDiff& d = merged[kind];
     d.kind = kind;
     d.count_b = st.count;
     d.max_b = st.max;
-    d.words_b = st.words;
   }
   std::vector<KindDiff> out;
   for (auto& [kind, d] : merged) {
-    if (d.count_a != d.count_b || d.max_a != d.max_b ||
-        d.words_a != d.words_b) {
+    if (d.count_a != d.count_b || d.max_a != d.max_b) {
       out.push_back(std::move(d));
     }
   }

@@ -1,11 +1,13 @@
 // Offline analysis over recorded traces: causal critical paths, per-kind
 // breakdowns, and observed-vs-formula budget checks.
 //
-// A trace (schema "nampc-trace/1") is the tracer's spans and flows plus the
+// A trace (schema "nampc-trace/2") is the tracer's spans and flows plus the
 // run configuration header needed to re-derive the paper's Timing formulas,
 // so a saved JSON file is self-contained: the nampc_trace CLI can explain
 // why a primitive finished when it did and check T_BC/T_BA/T_WSS/T_VSS/
-// T_VTS budgets without the binary that produced it.
+// T_VTS budgets without the binary that produced it. A trace holds time
+// only; per-kind and per-instance cost lives in the "nampc-metrics/1" dump,
+// read by nampc_prof.
 //
 // Critical path semantics: starting from (span.party, span.done), repeatedly
 // follow the latest-arriving message that could causally precede the current
@@ -49,10 +51,10 @@ struct TraceData {
 [[nodiscard]] TraceData collect_trace(const Tracer& tracer,
                                       const Simulation& sim, RunStatus status);
 
-/// Writes the "nampc-trace/1" JSON.
+/// Writes the "nampc-trace/2" JSON.
 void write_trace(std::ostream& os, const TraceData& data);
 
-/// Parses a "nampc-trace/1" JSON document; false (with `error` set) on
+/// Parses a "nampc-trace/2" JSON document; false (with `error` set) on
 /// malformed input or an unknown schema.
 bool load_trace(const std::string& text, TraceData& out, std::string& error);
 
@@ -85,7 +87,7 @@ struct CriticalPath {
 /// latest-done span overall when `key` is empty. -1 when nothing delivered.
 [[nodiscard]] int find_done_span(const TraceData& data, const std::string& key);
 
-/// Per-kind latency/volume statistics over a trace's spans (the same
+/// Per-kind count and latency statistics over a trace's spans (the same
 /// nearest-rank percentiles as the run report's "primitives" section).
 [[nodiscard]] std::map<std::string, LatencyStats> kind_breakdown(
     const TraceData& data);
@@ -114,10 +116,9 @@ struct KindDiff {
   std::string kind;
   std::uint64_t count_a = 0, count_b = 0;
   Time max_a = -1, max_b = -1;  ///< max latency
-  std::uint64_t words_a = 0, words_b = 0;
 };
 
-/// Kinds present in either trace with any count/latency/words change.
+/// Kinds present in either trace with any count or max-latency change.
 [[nodiscard]] std::vector<KindDiff> diff_traces(const TraceData& a,
                                                 const TraceData& b);
 

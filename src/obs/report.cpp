@@ -32,8 +32,6 @@ std::map<std::string, LatencyStats> latency_by_kind(
     for (const std::string& kind : kinds) {
       LatencyStats& st = stats[kind];
       st.count++;
-      st.messages += s.messages_sent;
-      st.words += s.words_sent;
       if (s.done >= 0) {
         st.done++;
         latencies[kind].push_back(s.done - span_start(s));
@@ -60,7 +58,7 @@ void write_run_report(std::ostream& os, const Simulation& sim,
 
   JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "nampc-run-report/4");
+  w.kv("schema", "nampc-run-report/5");
 
   w.key("config").begin_object();
   w.kv("n", cfg.params.n).kv("ts", cfg.params.ts).kv("ta", cfg.params.ta);
@@ -80,15 +78,8 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   w.key("metrics").begin_object();
   w.kv("messages_sent", m.messages_sent).kv("words_sent", m.words_sent);
   w.kv("events_processed", m.events_processed);
-  // Instance counts are the registry's kind tags; "ba_instances" counts
-  // the Aba instances (the "aba" tag).
-  w.kv("acast_instances", reg.tagged_copies("acast"));
-  w.kv("bc_instances", reg.tagged_copies("bc"));
-  w.kv("ba_instances", reg.tagged_copies("aba"));
   w.kv("aba_rounds", m.aba_rounds);
-  w.kv("wss_instances", reg.tagged_copies("wss"));
   w.kv("wss_restarts", m.wss_restarts);
-  w.kv("vss_instances", reg.tagged_copies("vss"));
   w.kv("beaver_mults", m.beaver_mults);
   w.kv("rs_decodes", m.rs_decodes);
   w.key("honest_polys_revealed").begin_object();
@@ -184,7 +175,6 @@ void write_run_report(std::ostream& os, const Simulation& sim,
       w.kv("p99", static_cast<std::int64_t>(st.p99));
       w.kv("max", static_cast<std::int64_t>(st.max));
       w.end_object();
-      w.kv("messages", st.messages).kv("words", st.words);
       w.end_object();
     }
     w.end_object();

@@ -1,9 +1,16 @@
 #include "obs/tracer.h"
 
-#include "util/assert.h"
 #include "util/json.h"
 
 namespace nampc::obs {
+
+namespace {
+
+/// Cap on recorded flows (they can dominate memory in big MPC runs);
+/// further deliveries only bump dropped_flows().
+constexpr std::size_t kMaxFlows = 1'000'000;
+
+}  // namespace
 
 int Tracer::find_open(int party, const std::string& key) const {
   const auto it = open_.find({party, key});
@@ -67,48 +74,16 @@ void Tracer::mark_done(int party, const std::string& key, Time now) {
   }
 }
 
-void Tracer::on_send(int party, const std::string& key, std::uint64_t words) {
-  const int index = find_open(party, key);
-  if (index >= 0) {
-    TraceSpan& span = spans_[static_cast<std::size_t>(index)];
-    span.messages_sent++;
-    span.words_sent += words;
-  }
-}
-
 void Tracer::on_flow(int from, int to, std::uint64_t words, Time send,
                      Time arrival, const std::string& key) {
-  if (!options_.record_flows) return;
-  if (flows_.size() >= options_.max_flows) {
+  if (flows_.size() >= kMaxFlows) {
     dropped_flows_++;
     return;
   }
   flows_.push_back(TraceFlow{from, to, words, send, arrival, key});
 }
 
-std::vector<Tracer::Aggregate> Tracer::aggregate_subtrees() const {
-  std::vector<Aggregate> agg(spans_.size());
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    agg[i].messages = spans_[i].messages_sent;
-    agg[i].words = spans_[i].words_sent;
-  }
-  // Children always have a larger index than their parent (spans are
-  // appended at registration, parents register first), so one reverse
-  // sweep propagates whole subtrees.
-  for (std::size_t i = spans_.size(); i-- > 0;) {
-    const int parent = spans_[i].parent;
-    if (parent >= 0) {
-      NAMPC_ASSERT(static_cast<std::size_t>(parent) < i,
-                   "span parent must precede child");
-      agg[static_cast<std::size_t>(parent)].messages += agg[i].messages;
-      agg[static_cast<std::size_t>(parent)].words += agg[i].words;
-    }
-  }
-  return agg;
-}
-
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  const std::vector<Aggregate> agg = aggregate_subtrees();
   JsonWriter w(os);
   w.begin_object();
   w.kv("displayTimeUnit", "ms");
@@ -136,8 +111,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     }
   }
 
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const TraceSpan& s = spans_[i];
+  for (const TraceSpan& s : spans_) {
     const Time end = s.end >= 0 ? s.end : trace_end;
     w.begin_object();
     w.kv("ph", "X");
@@ -149,8 +123,6 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     w.key("args").begin_object();
     w.kv("key", s.key);
     if (s.done >= 0) w.kv("done", static_cast<std::int64_t>(s.done));
-    w.kv("messages", s.messages_sent).kv("words", s.words_sent);
-    w.kv("subtree_messages", agg[i].messages).kv("subtree_words", agg[i].words);
     w.end_object();
     w.end_object();
     for (const auto& [name, t] : s.phases) {

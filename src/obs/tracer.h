@@ -4,11 +4,14 @@
 // span per ProtocolInstance — keyed by the instance's hierarchical string
 // key ("mpc/z3/d2/vts/vss/it1/inner4/rbc5") and party id — with spawn and
 // terminate virtual times, the virtual time the protocol delivered its
-// output (span_done), named phase transitions, and the messages/words the
-// instance itself sent. Subtree aggregates roll counts up the key
-// hierarchy, so "what did this VSS cost, including every broadcast under
-// it?" is one lookup. Message deliveries are recorded as flows (send and
-// arrival virtual times) and exported as Chrome trace_event flow events.
+// output (span_done) and named phase transitions. Message deliveries are
+// recorded as flows (send and arrival virtual times) and exported as Chrome
+// trace_event flow events.
+//
+// The tracer records time only; cost is counted once, by the Simulation's
+// MetricsRegistry (obs/metrics.h). "What did this VSS cost, including every
+// broadcast under it?" is answered from a metrics dump: `nampc_prof --top`
+// sums each instance's subtree (its key and every key/... below it).
 //
 // The tracer is pull-free and allocation-light: the simulator calls the
 // hooks behind a `if (tracer_)` null check, so a run without a tracer pays
@@ -49,8 +52,6 @@ struct TraceSpan {
   Time nominal = -1;
   Time end = -1;     ///< terminate virtual time; -1 while open
   Time done = -1;    ///< virtual time the protocol delivered output; -1 if never
-  std::uint64_t messages_sent = 0;  ///< sends by this instance itself
-  std::uint64_t words_sent = 0;
   std::vector<std::pair<std::string, Time>> phases;
   int parent = -1;  ///< index into spans() of the enclosing instance
 };
@@ -73,16 +74,6 @@ struct TraceFlow {
 
 class Tracer {
  public:
-  struct Options {
-    /// Record per-message flows (can dominate memory for big MPC runs).
-    bool record_flows = true;
-    /// Hard cap on recorded flows; further deliveries only bump a counter.
-    std::size_t max_flows = 1'000'000;
-  };
-
-  Tracer() = default;
-  explicit Tracer(const Options& options) : options_(options) {}
-
   // --- hooks, called by the simulator ---
   void open_span(int party, const std::string& key, Time now);
   void close_span(int party, const std::string& key, Time now);
@@ -91,7 +82,7 @@ class Tracer {
   void phase(int party, const std::string& key, const std::string& name,
              Time now);
   void mark_done(int party, const std::string& key, Time now);
-  void on_send(int party, const std::string& key, std::uint64_t words);
+  /// Records one delivery; past a fixed cap only dropped_flows() grows.
   void on_flow(int from, int to, std::uint64_t words, Time send, Time arrival,
                const std::string& key);
 
@@ -100,21 +91,12 @@ class Tracer {
   [[nodiscard]] const std::vector<TraceFlow>& flows() const { return flows_; }
   [[nodiscard]] std::uint64_t dropped_flows() const { return dropped_flows_; }
 
-  /// Messages/words sent by each span's whole subtree (aligned with
-  /// spans()). Children attribute to parents transitively.
-  struct Aggregate {
-    std::uint64_t messages = 0;
-    std::uint64_t words = 0;
-  };
-  [[nodiscard]] std::vector<Aggregate> aggregate_subtrees() const;
-
   /// Chrome trace_event JSON (object form, {"traceEvents": [...]}).
   void write_chrome_trace(std::ostream& os) const;
 
  private:
   [[nodiscard]] int find_open(int party, const std::string& key) const;
 
-  Options options_;
   std::vector<TraceSpan> spans_;
   std::vector<TraceFlow> flows_;
   std::uint64_t dropped_flows_ = 0;

@@ -131,7 +131,7 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   JsonValue report;
   ASSERT_TRUE(parse_json(run.report_json, report))
       << run.report_json.substr(0, 200);
-  EXPECT_EQ(report.at("schema").text, "nampc-run-report/4");
+  EXPECT_EQ(report.at("schema").text, "nampc-run-report/5");
   EXPECT_EQ(report.at("status").text, "quiescent");
   EXPECT_EQ(report.at("config").at("n").i64(), 4);
   EXPECT_EQ(report.at("config").at("seed").i64(), 23);
@@ -143,10 +143,11 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   EXPECT_EQ(metrics.at("events_processed").i64(),
             static_cast<std::int64_t>(m.events_processed));
 
-  // Acceptance check: per-primitive span counts and the report's instance
-  // counts both equal the registry's kind tags.
+  // Acceptance check: per-primitive span counts and the measured-cost
+  // copy counts both equal the registry's kind tags.
   const obs::MetricsRegistry& reg = run.sim->metrics_registry();
   const auto& prim = report.at("primitives");
+  const auto& cost = report.at("measured_cost");
   ASSERT_TRUE(prim.find("bc") != nullptr);
   ASSERT_TRUE(prim.find("wss") != nullptr);
   ASSERT_TRUE(prim.find("vss") != nullptr);
@@ -154,12 +155,43 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
     EXPECT_EQ(prim.at(kind).at("count").i64(),
               static_cast<std::int64_t>(reg.tagged_copies(kind)))
         << kind;
-    EXPECT_EQ(metrics.at(std::string(kind) + "_instances").i64(),
+    EXPECT_EQ(cost.at(kind).at("tagged_copies").i64(),
               static_cast<std::int64_t>(reg.tagged_copies(kind)))
         << kind;
   }
   // Completed primitives report latency percentiles in virtual time.
   EXPECT_GE(prim.at("bc").at("latency").at("p50").num(), 0.0);
+}
+
+// Cost is counted once, by the registry: the report's per-kind
+// measured_cost rows (untagged included) add up to the run totals, and the
+// tracer-derived "primitives" section carries time and counts only.
+TEST(Obs, RunReportCostComesFromTheRegistryOnly) {
+  TracedRun run(/*seed=*/24);
+  JsonValue report;
+  ASSERT_TRUE(parse_json(run.report_json, report));
+  std::int64_t messages = 0;
+  std::int64_t words = 0;
+  for (const auto& [kind, row] : report.at("measured_cost").members) {
+    messages += row.at("messages").i64();
+    words += row.at("words").i64();
+  }
+  const JsonValue& metrics = report.at("metrics");
+  EXPECT_EQ(messages, metrics.at("messages_sent").i64());
+  EXPECT_EQ(words, metrics.at("words_sent").i64());
+  for (const auto& [key, unused] : metrics.members) {
+    (void)unused;
+    EXPECT_EQ(key.find("_instances"), std::string::npos) << key;
+  }
+  const auto& prim = report.at("primitives").members;
+  ASSERT_FALSE(prim.empty());
+  for (const auto& [kind, row] : prim) {
+    for (const auto& [field, unused] : row.members) {
+      (void)unused;
+      EXPECT_TRUE(field == "count" || field == "done" || field == "latency")
+          << kind << "." << field;
+    }
+  }
 }
 
 TEST(Obs, SameSeedRunsAreBitIdentical) {
@@ -174,23 +206,6 @@ TEST(Obs, SameSeedRunsAreBitIdentical) {
   TracedRun c(/*seed=*/32);
   JsonValue v;
   EXPECT_TRUE(parse_json(c.trace_json, v));
-}
-
-TEST(Obs, SubtreeAggregationIsMonotone) {
-  TracedRun run(/*seed=*/24);
-  const auto agg = run.tracer.aggregate_subtrees();
-  const auto& spans = run.tracer.spans();
-  ASSERT_EQ(agg.size(), spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    // Subtree totals include the span's own counts...
-    EXPECT_GE(agg[i].messages, spans[i].messages_sent);
-    EXPECT_GE(agg[i].words, spans[i].words_sent);
-    // ...and roll up into the parent.
-    if (spans[i].parent >= 0) {
-      EXPECT_GE(agg[static_cast<std::size_t>(spans[i].parent)].messages,
-                agg[i].messages);
-    }
-  }
 }
 
 TEST(Obs, RingBufferDumpFiresOnEventLimit) {

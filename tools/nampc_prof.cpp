@@ -5,7 +5,10 @@
 //   nampc_prof FILE                 summary: config, totals, per-kind table
 //                                   with paper cost terms, attribution
 //                                   exactness check, top instances
-//   nampc_prof FILE --top [K]       top K instances by event count
+//   nampc_prof FILE --top [K]       top K instances by event count, each
+//                                   with its subtree's messages and words
+//                                   (the instance plus every key/... under
+//                                   it)
 //   nampc_prof FILE --series        the virtual-time sample series
 //   nampc_prof FILE --diff OTHER    compare two dumps (e.g. sync vs async,
 //                                   or baseline vs optimized): totals,
@@ -59,7 +62,6 @@ struct Dump {
   std::vector<JsonValue> instances;
   std::vector<JsonValue> kinds;
   std::vector<JsonValue> hists;
-  std::vector<JsonValue> counters;  // counter + gauge rows
   JsonValue total;
   std::uint64_t dropped_samples = 0;
   bool have_total = false;
@@ -114,8 +116,6 @@ FileKind load_file(const std::string& path, Dump& dump, JsonValue& flight,
       dump.kinds.push_back(std::move(v));
     } else if (row == "hist") {
       dump.hists.push_back(std::move(v));
-    } else if (row == "counter" || row == "gauge") {
-      dump.counters.push_back(std::move(v));
     } else if (row == "dropped_samples") {
       dump.dropped_samples = gu(v, "count");
     } else if (row == "total") {
@@ -226,6 +226,41 @@ void print_kinds(const Dump& d) {
   }
 }
 
+struct Cost {
+  std::uint64_t events = 0, messages = 0, words = 0;
+};
+
+std::map<std::string, Cost> by_key(const std::vector<JsonValue>& rows,
+                                   const char* key_field) {
+  std::map<std::string, Cost> out;
+  for (const JsonValue& row : rows) {
+    Cost& c = out[gs(row, key_field)];
+    c.events += gu(row, "events");
+    c.messages += gu(row, "messages");
+    c.words += gu(row, "words");
+  }
+  return out;
+}
+
+/// Cost of each instance's subtree, by key: its own row plus every row
+/// whose key lies below it ("key/..."), at any depth.
+std::map<std::string, Cost> subtree_costs(const std::vector<JsonValue>& rows) {
+  std::map<std::string, Cost> out = by_key(rows, "key");
+  for (const JsonValue& row : rows) {
+    std::string key = gs(row, "key");
+    for (auto slash = key.rfind('/'); slash != std::string::npos;
+         slash = key.rfind('/')) {
+      key.resize(slash);
+      const auto it = out.find(key);
+      if (it == out.end()) continue;
+      it->second.events += gu(row, "events");
+      it->second.messages += gu(row, "messages");
+      it->second.words += gu(row, "words");
+    }
+  }
+  return out;
+}
+
 void print_top(const Dump& d, std::size_t k) {
   std::vector<const JsonValue*> rows;
   rows.reserve(d.instances.size());
@@ -238,16 +273,20 @@ void print_top(const Dump& d, std::size_t k) {
               return gu(*a, "id") < gu(*b, "id");
             });
   if (rows.size() > k) rows.resize(k);
+  const std::map<std::string, Cost> subtree = subtree_costs(d.instances);
   std::printf("\ntop %zu instances by events:\n", rows.size());
-  std::printf("%-10s %12s %12s %14s  %s\n", "kind", "events", "messages",
-              "words", "key");
+  std::printf("%-10s %12s %12s %14s %12s %14s  %s\n", "kind", "events",
+              "messages", "words", "sub_msgs", "sub_words", "key");
   for (const JsonValue* row : rows) {
-    std::printf("%-10s %12llu %12llu %14llu  %s\n",
+    const std::string key = gs(*row, "key");
+    const Cost& sub = subtree.at(key);
+    std::printf("%-10s %12llu %12llu %14llu %12llu %14llu  %s\n",
                 show_kind(gs(*row, "kind")),
                 (unsigned long long)gu(*row, "events"),
                 (unsigned long long)gu(*row, "messages"),
                 (unsigned long long)gu(*row, "words"),
-                gs(*row, "key").c_str());
+                (unsigned long long)sub.messages,
+                (unsigned long long)sub.words, key.c_str());
   }
 }
 
@@ -271,22 +310,6 @@ void print_series(const Dump& d) {
   if (d.samples.empty()) {
     std::printf("(no samples: the run was emitted with sampling off)\n");
   }
-}
-
-struct Cost {
-  std::uint64_t events = 0, messages = 0, words = 0;
-};
-
-std::map<std::string, Cost> by_key(const std::vector<JsonValue>& rows,
-                                   const char* key_field) {
-  std::map<std::string, Cost> out;
-  for (const JsonValue& row : rows) {
-    Cost& c = out[gs(row, key_field)];
-    c.events += gu(row, "events");
-    c.messages += gu(row, "messages");
-    c.words += gu(row, "words");
-  }
-  return out;
 }
 
 void diff_line(const char* label, std::uint64_t a, std::uint64_t b) {

@@ -1,4 +1,4 @@
-// nampc_trace: offline analysis of "nampc-trace/1" files (produced by
+// nampc_trace: offline analysis of "nampc-trace/2" files (produced by
 // `nampc_cli --rawtrace FILE` or obs::write_trace).
 //
 //   nampc_trace TRACE.json                  summary + per-kind table +
@@ -8,7 +8,9 @@
 //                                           (default: latest-done span)
 //   nampc_trace TRACE.json --check-budgets  exit 1 if a gated kind exceeds
 //                                           its formula bound
-//   nampc_trace TRACE.json --diff B.json    per-kind drift between traces
+//   nampc_trace TRACE.json --diff B.json    per-kind count/latency drift
+//                                           between traces (per-kind word
+//                                           drift: nampc_prof --diff)
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -58,16 +60,14 @@ void print_summary(const TraceData& d) {
 }
 
 void print_kinds(const TraceData& d) {
-  std::printf("\n%-10s %7s %7s %8s %8s %8s %8s %10s %12s\n", "kind", "count",
-              "done", "p50", "p90", "p99", "max", "messages", "words");
+  std::printf("\n%-10s %7s %7s %8s %8s %8s %8s\n", "kind", "count", "done",
+              "p50", "p90", "p99", "max");
   for (const auto& [kind, st] : kind_breakdown(d)) {
-    std::printf("%-10s %7llu %7llu %8lld %8lld %8lld %8lld %10llu %12llu\n",
-                kind.c_str(), static_cast<unsigned long long>(st.count),
+    std::printf("%-10s %7llu %7llu %8lld %8lld %8lld %8lld\n", kind.c_str(),
+                static_cast<unsigned long long>(st.count),
                 static_cast<unsigned long long>(st.done),
                 static_cast<long long>(st.p50), static_cast<long long>(st.p90),
-                static_cast<long long>(st.p99), static_cast<long long>(st.max),
-                static_cast<unsigned long long>(st.messages),
-                static_cast<unsigned long long>(st.words));
+                static_cast<long long>(st.p99), static_cast<long long>(st.max));
   }
 }
 
@@ -144,16 +144,14 @@ int run_diff(const TraceData& a, const std::string& path_b) {
     std::printf("no per-kind differences\n");
     return 0;
   }
-  std::printf("%-10s %9s %9s %10s %10s %12s %12s\n", "kind", "count_a",
-              "count_b", "max_a", "max_b", "words_a", "words_b");
+  std::printf("%-10s %9s %9s %10s %10s\n", "kind", "count_a", "count_b",
+              "max_a", "max_b");
   for (const KindDiff& kd : diffs) {
-    std::printf("%-10s %9llu %9llu %10lld %10lld %12llu %12llu\n",
-                kd.kind.c_str(), static_cast<unsigned long long>(kd.count_a),
+    std::printf("%-10s %9llu %9llu %10lld %10lld\n", kd.kind.c_str(),
+                static_cast<unsigned long long>(kd.count_a),
                 static_cast<unsigned long long>(kd.count_b),
                 static_cast<long long>(kd.max_a),
-                static_cast<long long>(kd.max_b),
-                static_cast<unsigned long long>(kd.words_a),
-                static_cast<unsigned long long>(kd.words_b));
+                static_cast<long long>(kd.max_b));
   }
   return 0;
 }
